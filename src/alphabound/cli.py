@@ -29,8 +29,8 @@ from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
 from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
                        random_connected, regular_blocks, regular_template)
 from .graphcore import Graph, ParseError, degree_profile, load_graph, require_in_class, write_edge_list
-from .witness import (BaseStep, PeelStep, check_clique_weighting,
-                      clipped_weights, peel_witness)
+from .witness import (BaseStep, CertificationError, PeelStep,
+                      check_clique_weighting, clipped_weights, peel_witness)
 
 ENV_BUDGET = "ALPHABOUND_BUDGET"
 
@@ -198,15 +198,18 @@ def cmd_witness(args) -> int:
     result = peel_witness(g)
     size = len(result.independent_set)
     if args.trace:
-        payload = {
+        head = json.dumps({
             "graph": args.graph,
             "independent_set": list(result.independent_set),
             "certified_bound": str(result.certified_bound),
-            "steps": [_step_dict(s) for s in result.trace],
-        }
+        }, sort_keys=True)
         with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # the top-level keys on the first line, then one step per line;
+            # "steps" sorts after the other keys, so key order is unchanged
+            fh.write(head[:-1] + ', "steps": [\n')
+            fh.write(",\n".join(json.dumps(_step_dict(s), sort_keys=True)
+                                 for s in result.trace))
+            fh.write("\n]}\n")
     if args.json:
         print(json.dumps({
             "size": size,
@@ -454,6 +457,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except CertificationError as exc:
+        print(f"error: certification failed: {exc}", file=sys.stderr)
+        return 3
     except BudgetExceeded as exc:
         print(f"error: {exc}; best found so far has size {exc.best_size}",
               file=sys.stderr)

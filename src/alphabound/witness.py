@@ -14,8 +14,9 @@ that lost an edge to the deleted neighborhood never exceeds 1.
 Throughout the recursion the ORIGINAL graph's coefficient sequence is
 used; degrees only drop as vertices are deleted, and the coefficients
 grow as degrees drop, so every child component's internal target covers
-what its parent owes it.  Each step's accounting is an exact rational
-identity and is re-checked at runtime; any violation raises
+what its parent owes it.  Each step's accounting is an exact identity,
+kept in integer multiples of 1/D for D the lcm of the coefficient
+denominators, and is re-checked at runtime; any violation raises
 ``CertificationError`` rather than returning an uncertified set.
 
 The clique-weighting check (a sufficient condition due to T. Kelly and
@@ -32,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .bounds import c_bound
@@ -63,7 +65,7 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
     vset = set(verts)
     if len(components_within(g, vset)) != 1:
         raise ValueError("active set must induce a connected graph")
-    deg = {v: sum(1 for w in g.adj[v] if w in vset) for v in verts}
+    deg = {v: len(g.neighbor_set(v) & vset) for v in verts}
     dmin = min(deg.values())
     dmax = max(deg.values())
     if dmin == dmax:
@@ -138,28 +140,33 @@ def peel_witness(g: Graph) -> WitnessResult:
     cs = c_sequence(delta)
     trace: list = []
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 100))
+    # The ledger is kept in integer units of 1/scale, where scale is the lcm
+    # of the coefficient denominators: weight[d] = c_d * scale.  No vertex of
+    # a piece has degree 0, so weight[0] is never read.
+    scale = lcm(*(c.denominator for c in cs))
+    weight = [0, *(c.numerator * (scale // c.denominator) for c in cs)]
+    # deg[v] is v's degree inside its current piece.  A vertex stays alive
+    # until a peel step deletes it; the alive neighbors of a piece vertex all
+    # lie in the same piece, since pieces are components of the alive set.
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
 
-    def piece_degrees(piece: Sequence[int]) -> dict[int, int]:
-        pset = set(piece)
-        return {v: sum(1 for w in g.adj[v] if w in pset) for v in piece}
-
-    def rec(piece: Sequence[int], owed: Fraction) -> set[int]:
-        piece = tuple(sorted(piece))
-        deg = piece_degrees(piece)
+    def rec(piece: tuple[int, ...], owed: int) -> set[int]:
+        # piece is sorted, as the trace records it
+        degs = [deg[v] for v in piece]
         k = len(piece)
-        target = sum((cs[deg[v]] for v in piece), Fraction(0))
-        if all(deg[v] == k - 1 for v in piece):
+        target = sum([weight[d] for d in degs])
+        dmin = min(degs)
+        dmax = max(degs)
+        if dmin == k - 1:
             # complete piece: one vertex, owed at most 1 since some vertex
             # lost an outside neighbor (the recursion never owes a clique
             # its full internal weight)
-            _check(owed <= 1, "complete component owed more than one vertex")
-            taken = {min(piece)}
-            trace.append(BaseStep("complete", tuple(piece), (min(piece),),
-                                  target, owed))
-            return taken
+            _check(owed <= scale, "complete component owed more than one vertex")
+            trace.append(BaseStep("complete", piece, piece[:1],
+                                  Fraction(target, scale), Fraction(owed, scale)))
+            return {piece[0]}
         _check(owed <= target, "piece owed more than its own weight")
-        dmin = min(deg.values())
-        dmax = max(deg.values())
         if dmin == dmax:
             if dmin == 2:
                 taken = _alternate_cycle(g, piece)
@@ -171,35 +178,46 @@ def peel_witness(g: Graph) -> WitnessResult:
                     classes.setdefault(c, []).append(v)
                 taken = set(max(classes.values(), key=lambda vs: (len(vs), -min(vs))))
                 kind = "coloring"
-            _check(Fraction(len(taken)) >= target,
+            _check(len(taken) * scale >= target,
                    "regular base case fell short of its weight")
-            trace.append(BaseStep(kind, tuple(piece), tuple(sorted(taken)),
-                                  target, owed))
-            return set(taken)
+            trace.append(BaseStep(kind, piece, tuple(sorted(taken)),
+                                  Fraction(target, scale), Fraction(owed, scale)))
+            return taken
         u = select_peel_vertex(g, piece)
-        pset = set(piece)
-        nbrs = tuple(w for w in g.adj[u] if w in pset)
-        share = cs[deg[u]] + sum((cs[deg[w]] for w in nbrs), Fraction(0))
-        _check(share <= 1, "peel share exceeds one")
-        remaining = pset - {u} - set(nbrs)
-        rem_isolated = sorted(v for v in remaining
-                              if not (g.neighbor_set(v) & remaining))
-        iso_share = sum((cs[deg[v]] for v in rem_isolated), Fraction(0))
-        comps = components_within(g, remaining - set(rem_isolated))
-        handoffs = tuple(sum((cs[deg[v]] for v in comp), Fraction(0))
-                         for comp in comps)
-        _check(target == share + iso_share + sum(handoffs, Fraction(0)),
+        nbrs = tuple(w for w in g.adj[u] if alive[w])
+        share = weight[deg[u]] + sum([weight[deg[w]] for w in nbrs])
+        _check(share <= scale, "peel share exceeds one")
+        closed = (u, *nbrs)
+        for x in closed:
+            alive[x] = False
+        # delete N[u]: only the surviving neighbors of deleted vertices lose
+        # degree; keep their degrees in the parent piece for the handoffs
+        before: dict[int, int] = {}
+        for x in closed:
+            for y in g.adj[x]:
+                if alive[y]:
+                    before.setdefault(y, deg[y])
+                    deg[y] -= 1
+        isolated = sorted(y for y in before if deg[y] == 0)
+        iso_share = sum([weight[before[y]] for y in isolated])
+        remaining = set(piece).difference(closed, isolated)
+        comps = [tuple(sorted(c)) for c in components_within(g, remaining)]
+        handoffs = [sum([weight[before.get(v, deg[v])] for v in c]) for c in comps]
+        _check(target == share + iso_share + sum(handoffs),
                "weight accounting mismatch")
-        trace.append(PeelStep(u, deg[u], nbrs, tuple(rem_isolated),
-                              tuple(tuple(sorted(c)) for c in comps), share,
-                              iso_share, handoffs, target, owed))
-        chosen = {u, *rem_isolated}
+        trace.append(PeelStep(u, deg[u], nbrs, tuple(isolated), tuple(comps),
+                              Fraction(share, scale), Fraction(iso_share, scale),
+                              tuple(Fraction(h, scale) for h in handoffs),
+                              Fraction(target, scale), Fraction(owed, scale)))
+        chosen = {u, *isolated}
         for comp, h in zip(comps, handoffs):
             chosen |= rec(comp, h)
         return chosen
 
     bound = c_bound(g)
-    chosen = rec(tuple(range(g.n)), bound)
+    owed = bound * scale
+    _check(owed.denominator == 1, "bound is not a whole number of ledger units")
+    chosen = rec(tuple(range(g.n)), owed.numerator)
     ind = tuple(sorted(chosen))
     _check(is_independent(g, ind), "witness set is not independent")
     _check(Fraction(len(ind)) >= bound, "witness smaller than the bound")

@@ -1,8 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
-from alphabound.cli import main
+from alphabound import cli
+from alphabound.cli import _step_dict, main
+from alphabound.families import (attach_cliques, chain_blocks,
+                                 cycle_with_pendants, random_connected)
+from alphabound.graphcore import load_graph, write_edge_list
+from alphabound.witness import CertificationError, peel_witness
 
 
 def run(capsys, *argv):
@@ -134,6 +140,72 @@ def test_witness_output(tmp_path, capsys):
     assert payload["steps"][0]["type"] == "peel"
     assert payload["steps"][0]["vertex"] == 10
     assert payload["steps"][0]["share"] == "7/8"
+
+
+def test_witness_trace_has_one_line_per_step(tmp_path, capsys):
+    path = gen_gstar(tmp_path, capsys)
+    trace = tmp_path / "trace.json"
+    code, _, _ = run(capsys, "witness", path, "--trace", str(trace))
+    assert code == 0
+    result = peel_witness(load_graph(path))
+    expected = {
+        "graph": path,
+        "independent_set": list(result.independent_set),
+        "certified_bound": str(result.certified_bound),
+        "steps": [_step_dict(s) for s in result.trace],
+    }
+    text = trace.read_text()
+    assert json.loads(text) == expected
+    lines = text.splitlines()
+    # the top-level keys open the file and "]}" closes it
+    assert len(lines) == len(result.trace) + 2
+    assert lines[-1] == "]}"
+    for line, step in zip(lines[1:-1], expected["steps"]):
+        assert json.loads(line.rstrip(",")) == step
+
+
+# sha256 of json.dumps(payload, sort_keys=True) for the payload of
+# "witness graph.txt --trace trace.json", recorded before the peel moved to
+# an integer ledger; a faster peel must reproduce every pick and share
+PINNED_TRACES = {
+    "cycle_with_pendants(50)": (lambda: cycle_with_pendants(50),
+        "c12193f6b0fe0e8d9cb7878ad849067117434245880199994614e961f3b3f825"),
+    "random_connected(120,4,0)": (lambda: random_connected(120, 4, 0),
+        "749b9b1cd62f467695f66e23ce317b642c12aa5615b2594b8bf11074a7bd990b"),
+    "random_connected(120,4,1)": (lambda: random_connected(120, 4, 1),
+        "31733b8cf8beea32ed33fc38c5d31f357b213dc1d63c3ef127ead9fe5120d02b"),
+    "random_connected(120,4,2)": (lambda: random_connected(120, 4, 2),
+        "8148c329b86541fdd773c27a9be6ccb78968a5cbee9b7dd76dc8747a45f9bff7"),
+    "chain_blocks(4,5)": (lambda: chain_blocks(4, 5),
+        "d972c26ad40436befa5757b510f3750d9ef2a8f5b28ef09585708cf89b3ccb98"),
+    "attach_cliques(5,5,2)": (lambda: attach_cliques(5, 5, 2),
+        "41475c8572d0ddc19450d99cdae0360721ed2d1326dd05791657832ecfe7d949"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_witness_trace_matches_pinned_digest(name, tmp_path, capsys, monkeypatch):
+    build, digest = PINNED_TRACES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(write_edge_list(build()))
+    code, _, _ = run(capsys, "witness", "graph.txt", "--trace", "trace.json")
+    assert code == 0
+    payload = json.loads((tmp_path / "trace.json").read_text())
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):
+    path = gen_gstar(tmp_path, capsys)
+
+    def broken(g):
+        raise CertificationError("weight accounting mismatch")
+
+    monkeypatch.setattr(cli, "peel_witness", broken)
+    code, out, err = run(capsys, "witness", path)
+    assert code == 3
+    assert out == ""
+    assert err == "error: certification failed: weight accounting mismatch\n"
 
 
 def test_witness_json(tmp_path, capsys):

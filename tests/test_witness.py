@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphabound.bounds import c_bound
+from alphabound.coeffs import c_sequence
 from alphabound.exact import exact_alpha, is_independent
 from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  complete_graph, cycle_graph,
@@ -156,6 +157,47 @@ def test_witness_certifies_bound_on_random_members(delta, seed):
     r = peel_witness(g)
     assert is_independent(g, r.independent_set)
     assert F(len(r.independent_set)) >= r.certified_bound == c_bound(g)
+
+
+
+graphs_for_ledger = st.one_of(
+    st.integers(3, 6).flatmap(lambda delta: st.builds(
+        random_connected, st.integers(delta + 1, 60), st.just(delta),
+        st.integers(0, 10_000))),
+    st.builds(cycle_with_pendants, st.integers(3, 30)),
+)
+
+
+@given(graphs_for_ledger)
+@settings(max_examples=80, deadline=None)
+def test_witness_ledger_recomputed_independently(g):
+    # rebuild every piece from its step and redo the accounting with plain
+    # Fraction arithmetic, sharing nothing with the witness code but the graph
+    cs = c_sequence(g.max_degree())
+    r = peel_witness(g)
+
+    def weights(vertices, piece):
+        return [cs[len(g.neighbor_set(v) & piece)] for v in vertices]
+
+    owed_by_piece = {}
+    for step in r.trace:
+        if isinstance(step, BaseStep):
+            piece = frozenset(step.vertices)
+        else:
+            piece = frozenset({step.vertex, *step.neighbors, *step.isolated,
+                               *(v for c in step.components for v in c)})
+            assert step.degree == len(g.neighbor_set(step.vertex) & piece)
+            assert step.neighbors == tuple(sorted(g.neighbor_set(step.vertex) & piece))
+            assert step.share == sum(weights([step.vertex, *step.neighbors], piece))
+            assert step.isolated_share == sum(weights(step.isolated, piece), F(0))
+            assert step.handoff_shares == tuple(sum(weights(c, piece))
+                                                for c in step.components)
+            assert step.share <= 1
+            for c, h in zip(step.components, step.handoff_shares):
+                owed_by_piece[frozenset(c)] = h
+        assert step.target == sum(weights(piece, piece))
+        assert step.owed == owed_by_piece.get(piece, r.certified_bound)
+    assert r.trace[0].owed == r.trace[0].target == c_bound(g)
 
 
 # --- coloring ---------------------------------------------------------------
