@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .coeffs import CoeffSequence, EulerLinear, c_sequence, d_sequence
-from .graphcore import Graph, degree_profile, require_in_class
+from .coeffs import EulerLinear, c_sequence, d_sequence
+from .graphcore import DegreeProfile, Graph, degree_profile, require_in_class
 
 
 def brooks_bound(g: Graph) -> Fraction:
@@ -22,12 +22,32 @@ def brooks_bound(g: Graph) -> Fraction:
     return Fraction(g.n, delta)
 
 
+def _c_sum(delta: int, prof: DegreeProfile, dprime: int) -> Fraction:
+    """sum c_i * |V_i| over i <= dprime, coefficients for degree delta."""
+    cs = c_sequence(delta)
+    return sum((cs[i] * prof.count(i) for i in range(1, dprime + 1)), Fraction(0))
+
+
+def _truncated_sum(delta: int, prof: DegreeProfile, dprime: int) -> Fraction:
+    if delta <= dprime:
+        raise ValueError(
+            f"truncation needs a coefficient degree above the graph's maximum"
+            f" degree ({delta} <= {dprime})")
+    return _c_sum(delta, prof, dprime)
+
+
+def _d_sum(prof: DegreeProfile, dprime: int) -> EulerLinear:
+    ds = d_sequence(dprime)
+    total = EulerLinear(Fraction(0), Fraction(0))
+    for i in range(1, dprime + 1):
+        total = total + ds[i] * prof.count(i)
+    return total
+
+
 def c_bound(g: Graph) -> Fraction:
     """sum c_i * |V_i| with coefficients for the graph's own maximum degree."""
     delta = require_in_class(g)
-    cs = c_sequence(delta)
-    prof = degree_profile(g)
-    return sum((cs[i] * prof.count(i) for i in range(1, delta + 1)), Fraction(0))
+    return _c_sum(delta, degree_profile(g), delta)
 
 
 def truncated_c_bound(g: Graph, delta: int) -> Fraction:
@@ -37,24 +57,13 @@ def truncated_c_bound(g: Graph, delta: int) -> Fraction:
     between larger and smaller as the target degree grows.
     """
     dprime = require_in_class(g)
-    if delta <= dprime:
-        raise ValueError(
-            f"truncation needs a coefficient degree above the graph's maximum"
-            f" degree ({delta} <= {dprime})")
-    cs = c_sequence(delta)
-    prof = degree_profile(g)
-    return sum((cs[i] * prof.count(i) for i in range(1, dprime + 1)), Fraction(0))
+    return _truncated_sum(delta, degree_profile(g), dprime)
 
 
 def d_bound(g: Graph) -> EulerLinear:
     """sum d_i * |V_i| with the limiting coefficients, exact a + b/e."""
     dprime = require_in_class(g)
-    ds = d_sequence(dprime)
-    prof = degree_profile(g)
-    total = EulerLinear(Fraction(0), Fraction(0))
-    for i in range(1, dprime + 1):
-        total = total + ds[i] * prof.count(i)
-    return total
+    return _d_sum(degree_profile(g), dprime)
 
 
 def caro_wei_bound(g: Graph) -> Fraction:
@@ -76,13 +85,16 @@ class BoundReport:
 
 def bound_report(g: Graph, truncation_deltas: Iterable[int] = (),
                  graph_id: str = "") -> BoundReport:
-    """Evaluate every applicable bound and name the largest."""
+    """Evaluate every applicable bound and name the largest.  The class
+    check and the degree profile run once and feed every bound."""
     delta = require_in_class(g)
-    brooks = brooks_bound(g)
-    weighted = c_bound(g)
-    truncated = {d: truncated_c_bound(g, d) for d in sorted(set(truncation_deltas))}
-    euler = d_bound(g)
-    cw = caro_wei_bound(g)
+    prof = degree_profile(g)
+    brooks = Fraction(g.n, delta)
+    weighted = _c_sum(delta, prof, delta)
+    truncated = {d: _truncated_sum(d, prof, delta)
+                 for d in sorted(set(truncation_deltas))}
+    euler = _d_sum(prof, delta)
+    cw = sum((Fraction(prof.count(i), i + 1) for i in range(delta + 1)), Fraction(0))
     candidates = [("brooks", brooks), ("weighted", weighted)]
     candidates += [(f"truncated[{d}]", v) for d, v in sorted(truncated.items())]
     candidates += [("euler", euler), ("caro_wei", cw)]

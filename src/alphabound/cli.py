@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import bound_report, brooks_bound, c_bound, caro_wei_bound, d_bound, truncated_c_bound
+from .bounds import bound_report
 from .coeffs import c_sequence, clipped_sequence, d_sequence, render_decimal
 from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
 from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
@@ -33,10 +33,6 @@ from .witness import (BaseStep, CertificationError, PeelStep,
                       check_clique_weighting, clipped_weights, peel_witness)
 
 ENV_BUDGET = "ALPHABOUND_BUDGET"
-
-
-def _exact_str(value) -> str:
-    return str(value)
 
 
 def _decimal_str(value, digits: int = 12) -> str:
@@ -91,7 +87,7 @@ def cmd_coeffs(args) -> int:
         seq = clipped_sequence(args.delta, tail)
     fmt, digits = args.format
     if fmt == "rational":
-        values = [_exact_str(v) for v in seq]
+        values = [str(v) for v in seq]
     else:
         values = [_decimal_str(v, digits) for v in seq]
     if args.json:
@@ -133,12 +129,12 @@ def _bound_rows(g: Graph, deltas: tuple[int, ...]):
 
 def cmd_bound(args) -> int:
     g = load_graph(args.graph)
-    delta = require_in_class(g)
     deltas: tuple[int, ...] = ()
     if args.delta_range:
         a, b = args.delta_range
         deltas = tuple(range(a, b + 1))
     report, rows = _bound_rows(g, deltas)
+    delta = report.delta_max
     profile = degree_profile(g)
     if args.json:
         data = {
@@ -148,7 +144,7 @@ def cmd_bound(args) -> int:
             "delta": delta,
             "degree_classes": {str(i): profile.count(i)
                                for i in range(1, delta + 1) if profile.count(i)},
-            "bounds": {name: {"exact": _exact_str(v), "decimal": _decimal_str(v)}
+            "bounds": {name: {"exact": str(v), "decimal": _decimal_str(v)}
                        for name, v in rows},
             "best": report.best,
         }
@@ -160,7 +156,7 @@ def cmd_bound(args) -> int:
     print(f"degree classes: {classes}")
     width = max(len(name) for name, _ in rows)
     for name, v in rows:
-        print(f"{name.ljust(width)}  {_exact_str(v):>18}  {_decimal_str(v)}")
+        print(f"{name.ljust(width)}  {str(v):>18}  {_decimal_str(v)}")
     print(f"best: {report.best}")
     return 0
 
@@ -366,7 +362,7 @@ def cmd_table(args) -> int:
     rows = []
     for i in range(1, args.delta + 1):
         gap = abs(cs[i] - ds[i])
-        rows.append((i, _exact_str(cs[i]), _decimal_str(cs[i], digits),
+        rows.append((i, str(cs[i]), _decimal_str(cs[i], digits),
                      _decimal_str(ds[i], digits), _decimal_str(gap, digits)))
     if args.json:
         print(json.dumps([{"i": i, "c": ce, "c_decimal": cd,

@@ -28,6 +28,7 @@ independence number.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .bounds import c_bound
-from .coeffs import CoeffSequence, c_sequence, clipped_sequence
+from .coeffs import c_sequence, clipped_sequence
 from .exact import is_independent
 from .graphcore import Graph, components_within, require_in_class
 
@@ -281,11 +282,47 @@ def _greedy_from_root(g: Graph, piece: Sequence[int], root: int,
 
 
 def _find_cut_vertex(g: Graph, piece: Sequence[int]) -> Optional[int]:
-    pieces = set(piece)
-    for v in sorted(piece):
-        if len(components_within(g, pieces - {v})) > 1:
-            return v
-    return None
+    """Smallest cut vertex of the connected induced piece, or None.
+
+    Hopcroft-Tarjan lowpoints from one depth-first search, run on an
+    explicit stack so the depth does not grow with the piece: a non-root
+    vertex is a cut vertex iff some child's subtree has no back edge above
+    it, and the root iff it has two or more children."""
+    pset = set(piece)
+    root = min(pset)
+    disc = {root: 0}            # discovery index
+    low = {root: 0}             # lowest discovery index reachable by a back edge
+    cuts = []
+    root_children = 0
+    stack = [(root, iter(g.adj[root]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in pset:
+                continue
+            if w in disc:
+                # includes the tree edge to v's parent, which cannot lower
+                # low[v] below the parent's index and so never hides a cut
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, iter(g.adj[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    cuts.append(p)
+    _check(len(disc) == len(pset), "coloring piece is not connected")
+    if root_children > 1:
+        cuts.append(root)
+    return min(cuts, default=None)
 
 
 def _find_split_triple(g: Graph, piece: Sequence[int]):
@@ -436,16 +473,26 @@ def check_clique_weighting(g: Graph, weights) -> WeightCheck:
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
+    """Repeatedly remove the live vertex of least (degree, index).
+
+    A heap holds (degree, vertex) entries.  A degree drop pushes a fresh
+    entry and leaves the old one in place: the fresh one sorts first, so a
+    vertex's first entry to pop is current and the rest pop once it is dead."""
     deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    alive = [True] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     order = []
-    while alive:
-        v = min(alive, key=lambda t: (deg[t], t))
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if not alive[v]:
+            continue
         order.append(v)
-        alive.remove(v)
+        alive[v] = False
         for w in g.adj[v]:
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order
 
 

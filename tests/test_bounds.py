@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphabound import bounds
 from alphabound.bounds import (bound_report, brooks_bound, c_bound,
                                caro_wei_bound, d_bound, truncated_c_bound)
 from alphabound.exact import exact_alpha
 from alphabound.families import (chain_blocks, complete_graph, cycle_graph,
                                  cycle_with_pendants, path_graph,
                                  petersen_graph, random_connected, star_graph)
+from alphabound.graphcore import Graph
 
 
 def test_star_bounds():
@@ -92,6 +94,42 @@ def test_bound_report_structure():
     r2 = bound_report(g)
     assert r2.truncated == {}
     assert r2.best == "euler"
+
+
+def test_bound_report_checks_class_and_profile_once(monkeypatch):
+    calls = {"is_connected": 0, "degree_profile": 0}
+    is_connected = Graph.is_connected
+    degree_profile = bounds.degree_profile
+
+    def counting_is_connected(g):
+        calls["is_connected"] += 1
+        return is_connected(g)
+
+    def counting_degree_profile(g):
+        calls["degree_profile"] += 1
+        return degree_profile(g)
+
+    g = cycle_with_pendants(10)
+    monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
+    monkeypatch.setattr(bounds, "degree_profile", counting_degree_profile)
+    bound_report(g, truncation_deltas=range(5, 13))
+    assert calls == {"is_connected": 1, "degree_profile": 1}
+
+
+@given(st.integers(3, 6), st.integers(0, 400))
+@settings(max_examples=40, deadline=None)
+def test_bound_report_matches_public_bounds(delta, seed):
+    g = random_connected(delta + 1 + seed % 30, delta, seed)
+    r = bound_report(g, truncation_deltas=(delta + 3, delta + 1))
+    assert r.delta_max == delta
+    assert r.brooks == brooks_bound(g)
+    assert r.weighted == c_bound(g)
+    assert r.truncated == {d: truncated_c_bound(g, d)
+                           for d in (delta + 1, delta + 3)}
+    assert r.euler == d_bound(g)
+    assert r.caro_wei == caro_wei_bound(g)
+    with pytest.raises(ValueError, match="truncation needs"):
+        bound_report(g, truncation_deltas=(delta + 1, delta))
 
 
 def test_bound_report_best_on_regular():

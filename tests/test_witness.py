@@ -1,3 +1,6 @@
+import hashlib
+import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -11,10 +14,12 @@ from alphabound.exact import exact_alpha, is_independent
 from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  complete_graph, cycle_graph,
                                  cycle_with_pendants, path_graph,
-                                 petersen_graph, random_connected, star_graph)
-from alphabound.graphcore import Graph
+                                 petersen_graph, random_connected,
+                                 regular_blocks, regular_template, star_graph)
+from alphabound.graphcore import Graph, components_within
 from alphabound.witness import (BaseStep, CertificationError, PeelStep,
-                                WeightAssignment, brooks_coloring,
+                                WeightAssignment, _degeneracy_order,
+                                _find_cut_vertex, brooks_coloring,
                                 brooks_independent_set, c_weights,
                                 check_clique_weighting, clipped_weights,
                                 enumerate_maximal_cliques, peel_witness,
@@ -220,7 +225,7 @@ def test_brooks_coloring_nonregular():
     assert_proper(g, brooks_coloring(g), 4)
 
 
-def test_brooks_coloring_regular_with_cut_vertex():
+def hub_graph():
     # two K5-minus-an-edge blocks wired through a shared degree-4 hub:
     # 4-regular, connected, cut vertex at 0
     def block(base):
@@ -228,7 +233,11 @@ def test_brooks_coloring_regular_with_cut_vertex():
         edges = [(a, b) for a, b in combinations(vs, 2)
                  if (a, b) != (vs[0], vs[1])]
         return edges + [(0, vs[0]), (0, vs[1])]
-    g = Graph(11, block(1) + block(6))
+    return Graph(11, block(1) + block(6))
+
+
+def test_brooks_coloring_regular_with_cut_vertex():
+    g = hub_graph()
     assert all(g.degree(v) == 4 for v in range(11))
     assert_proper(g, brooks_coloring(g), 4)
     r = peel_witness(g)  # exercises the cut-vertex branch inside the witness
@@ -259,6 +268,107 @@ def test_brooks_independent_set_size():
 def test_brooks_coloring_random(delta, seed):
     g = random_connected(delta + 2 + seed % 7, delta, seed)
     assert_proper(g, brooks_coloring(g), g.max_degree())
+
+
+# sha256 of repr(sorted(brooks_coloring(g).items())).  The cut-vertex and
+# split-triple searches must keep their picks, or the colours would change:
+# circulants take the split-triple path, the blow-ups run the cut-vertex
+# search and find none, the pendant cycle colours greedily, the hub cuts
+PINNED_COLORINGS = [
+    (lambda: circulant_graph(9, [1, 2]),
+     "a4e1503126157bc413634a124a74f740148947329d4c29b1c27c01783fa10d00"),
+    (lambda: circulant_graph(50, [1, 2]),
+     "2c5880c22665b97c6e6e58f6fa9e179e617952e525c750eb0aaaae4c3f5e5ba2"),
+    (lambda: circulant_graph(301, [1, 2]),
+     "55f648bd39eb9c2f626fb379206bd6aaf01dbde6c376ce01d2f3c7d2d7e11cfd"),
+    (lambda: circulant_graph(1000, [1, 2]),
+     "a6e7ce26231c3ca8cfd1667a9a940dc896261ac75660ca381ad7dbd46726e03f"),
+    (lambda: regular_blocks(3, regular_template(3, 8)),
+     "adaedaa7a9d6cf5c6a70fa27482ef8234b2f874f04fb5ab1b2751be68f1dd275"),
+    (lambda: regular_blocks(4, regular_template(4, 7)),
+     "dff4633dd88e19465c674d73124a0cedaa40fb41a4ba0d1e421871ac9bf524fe"),
+    (lambda: regular_blocks(5, regular_template(5, 8)),
+     "1eb208fee14d3ebbd72d61b5fe144d5a382172153f8aca873cb0e5df4ea6b478"),
+    (lambda: regular_blocks(6, regular_template(6, 9)),
+     "f22db067bf28804c490c20c7ea951a455d5da174c021a6309ed130bf88913fc0"),
+    (lambda: cycle_with_pendants(20),
+     "6321dc667f6ad17bd34e96f8b94a2a0dd5fdb6e8ff6e406d7cb3ea26e1adc3cd"),
+    (hub_graph,
+     "5510db8730e684f3ba18771ac9c63e1cef902fc7e7b5dbb43a9d639cc39db094"),
+]
+
+
+@pytest.mark.parametrize("build, digest", PINNED_COLORINGS)
+def test_brooks_coloring_pinned(build, digest):
+    colors = brooks_coloring(build())
+    assert hashlib.sha256(repr(sorted(colors.items())).encode()).hexdigest() == digest
+
+
+def test_brooks_depth_does_not_grow_with_n(monkeypatch):
+    # a recursive search would be about n frames deep here
+    def refuse(limit):
+        raise AssertionError("the Brooks path changed the recursion limit")
+
+    g = circulant_graph(5000, [1, 2])
+    set_limit = sys.setrecursionlimit
+    old = sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    set_limit(1000)             # the interpreter's default
+    try:
+        assert_proper(g, brooks_coloring(g), 4)
+    finally:
+        set_limit(old)
+
+
+def brute_cut_vertex(g, piece):
+    # the reference: one component count per vertex, smallest vertex first
+    pset = frozenset(piece)
+    for v in sorted(pset):
+        if len(components_within(g, pset - {v})) > 1:
+            return v
+    return None
+
+
+def scan_degeneracy_order(g):
+    # the reference: a min over every live vertex at each step
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    order = []
+    while alive:
+        v = min(alive, key=lambda t: (deg[t], t))
+        order.append(v)
+        alive.remove(v)
+        for w in g.adj[v]:
+            if w in alive:
+                deg[w] -= 1
+    return order
+
+
+def _regular_member(delta, k):
+    k += (k * delta) % 2        # an odd degree needs an even template
+    return regular_blocks(delta, regular_template(delta, k))
+
+
+graphs_for_search = st.one_of(
+    st.integers(3, 6).flatmap(lambda delta: st.builds(
+        random_connected, st.integers(delta + 1, 40), st.just(delta),
+        st.integers(0, 10_000))),
+    st.integers(3, 6).flatmap(lambda delta: st.builds(
+        _regular_member, st.just(delta), st.integers(delta + 1, delta + 6))),
+)
+
+
+@given(graphs_for_search, st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_cut_vertex_and_degeneracy_match_references(g, seed):
+    assert _find_cut_vertex(g, range(g.n)) == brute_cut_vertex(g, range(g.n))
+    # induced pieces: the components left after deleting a few vertices
+    rng = random.Random(seed)
+    removed = set(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 4))))
+    for comp in components_within(g, frozenset(range(g.n)) - removed):
+        piece = sorted(comp)
+        assert _find_cut_vertex(g, piece) == brute_cut_vertex(g, piece)
+    assert _degeneracy_order(g) == scan_degeneracy_order(g)
 
 
 # --- clique weightings -------------------------------------------------------
@@ -334,7 +444,6 @@ def test_maximal_cliques_known():
 @given(st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_maximal_cliques_match_brute_force(seed):
-    import random
     rng = random.Random(seed)
     n = rng.randint(1, 8)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
