@@ -81,6 +81,7 @@ class BoundReport:
     euler: EulerLinear = None
     caro_wei: Fraction = None
     best: str = ""
+    profile: DegreeProfile = None           # the degree classes behind every bound
 
 
 def bound_report(g: Graph, truncation_deltas: Iterable[int] = (),
@@ -103,4 +104,4 @@ def bound_report(g: Graph, truncation_deltas: Iterable[int] = (),
         if value > best_value:          # EulerLinear-aware exact comparison
             best_label, best_value = label, value
     return BoundReport(graph_id, delta, brooks, weighted, truncated,
-                       euler, cw, best_label)
+                       euler, cw, best_label, prof)

@@ -28,15 +28,12 @@ from .coeffs import c_sequence, clipped_sequence, d_sequence, render_decimal
 from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
 from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
                        random_connected, regular_blocks, regular_template)
-from .graphcore import Graph, ParseError, degree_profile, load_graph, require_in_class, write_edge_list
+# degree_profile stays importable here: the per-layer benchmark patches it on this module
+from .graphcore import Graph, ParseError, degree_profile, load_graph, require_in_class, write_edge_list  # noqa: F401
 from .witness import (BaseStep, CertificationError, PeelStep,
                       check_clique_weighting, clipped_weights, peel_witness)
 
 ENV_BUDGET = "ALPHABOUND_BUDGET"
-
-
-def _decimal_str(value, digits: int = 12) -> str:
-    return render_decimal(value, digits)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -89,7 +86,7 @@ def cmd_coeffs(args) -> int:
     if fmt == "rational":
         values = [str(v) for v in seq]
     else:
-        values = [_decimal_str(v, digits) for v in seq]
+        values = [render_decimal(v, digits) for v in seq]
     if args.json:
         print(json.dumps({"kind": seq.kind, "delta": seq.delta, "values": values},
                          indent=2, sort_keys=True))
@@ -135,7 +132,7 @@ def cmd_bound(args) -> int:
         deltas = tuple(range(a, b + 1))
     report, rows = _bound_rows(g, deltas)
     delta = report.delta_max
-    profile = degree_profile(g)
+    profile = report.profile
     if args.json:
         data = {
             "graph": args.graph,
@@ -144,7 +141,7 @@ def cmd_bound(args) -> int:
             "delta": delta,
             "degree_classes": {str(i): profile.count(i)
                                for i in range(1, delta + 1) if profile.count(i)},
-            "bounds": {name: {"exact": str(v), "decimal": _decimal_str(v)}
+            "bounds": {name: {"exact": str(v), "decimal": render_decimal(v)}
                        for name, v in rows},
             "best": report.best,
         }
@@ -156,7 +153,7 @@ def cmd_bound(args) -> int:
     print(f"degree classes: {classes}")
     width = max(len(name) for name, _ in rows)
     for name, v in rows:
-        print(f"{name.ljust(width)}  {str(v):>18}  {_decimal_str(v)}")
+        print(f"{name.ljust(width)}  {str(v):>18}  {render_decimal(v)}")
     print(f"best: {report.best}")
     return 0
 
@@ -210,7 +207,7 @@ def cmd_witness(args) -> int:
         print(json.dumps({
             "size": size,
             "bound": str(result.certified_bound),
-            "bound_decimal": _decimal_str(result.certified_bound),
+            "bound_decimal": render_decimal(result.certified_bound),
             "independent_set": list(result.independent_set),
             "steps": len(result.trace),
         }, indent=2, sort_keys=True))
@@ -218,7 +215,7 @@ def cmd_witness(args) -> int:
     print(f"independent set of size {size}: "
           + " ".join(str(v) for v in result.independent_set))
     print(f"certified bound: {result.certified_bound} "
-          f"(= {_decimal_str(result.certified_bound)})")
+          f"(= {render_decimal(result.certified_bound)})")
     print(f"check: {size} >= {result.certified_bound}: ok")
     print(f"trace: {len(result.trace)} steps"
           + (f" written to {args.trace}" if args.trace else ""))
@@ -362,8 +359,8 @@ def cmd_table(args) -> int:
     rows = []
     for i in range(1, args.delta + 1):
         gap = abs(cs[i] - ds[i])
-        rows.append((i, str(cs[i]), _decimal_str(cs[i], digits),
-                     _decimal_str(ds[i], digits), _decimal_str(gap, digits)))
+        rows.append((i, str(cs[i]), render_decimal(cs[i], digits),
+                     render_decimal(ds[i], digits), render_decimal(gap, digits)))
     if args.json:
         print(json.dumps([{"i": i, "c": ce, "c_decimal": cd,
                            "d_decimal": dd, "gap": gp}
@@ -451,6 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact values at large degree (from about 1560 on) have more digits
+    # than str(int) prints by default; lift that limit, where the running
+    # Python has one, for this call only
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CertificationError as exc:
@@ -466,6 +470,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -177,6 +177,6 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-        if g.neighbor_set(v) & vs:
+        if not vs.isdisjoint(g.adj[v]):
             return False
     return True

@@ -8,8 +8,9 @@ vertex sets so that recursive algorithms never copy a graph.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -18,7 +19,10 @@ class ParseError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1.  Treat instances as frozen."""
+    """Simple undirected graph on vertices 0..n-1.  Treat instances as frozen.
+
+    ``adj`` is the one stored adjacency: a tuple of increasing neighbour
+    tuples.  Neighbour frozensets are built on first use and kept."""
 
     __slots__ = ("n", "m", "adj", "_nbr", "labels")
 
@@ -26,29 +30,28 @@ class Graph:
                  labels: Optional[Sequence] = None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs = set()
+        lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            pairs.add((u, v) if u < v else (v, u))
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(pairs):
-            # iterating pairs in sorted order appends each adjacency list in
-            # increasing order, so no per-list sort is needed
             lists[u].append(v)
             lists[v].append(u)
+        # deduplicate and sort each short list in place, so the lists are
+        # freed one by one as their tuples are made
+        for v, a in enumerate(lists):
+            lists[v] = tuple(sorted(set(a)))
         self.n = n
-        self.m = len(pairs)
-        self.adj = tuple(tuple(a) for a in lists)
-        self._nbr = tuple(frozenset(a) for a in lists)
+        self.adj = tuple(lists)
+        self.m = sum(map(len, self.adj)) // 2
+        self._nbr = None
         if labels is None:
             self.labels = None
         else:
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
-            self.labels = tuple(str(x) for x in labels)
+            self.labels = tuple(map(str, labels))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -56,11 +59,18 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
+    def neighbor_sets(self) -> tuple[frozenset, ...]:
+        """One neighbour frozenset per vertex, built on the first call.
+        Hot loops fetch the tuple once and index it."""
+        if self._nbr is None:
+            self._nbr = tuple(map(frozenset, self.adj))
+        return self._nbr
+
     def neighbor_set(self, v: int) -> frozenset:
-        return self._nbr[v]
+        return self.neighbor_sets()[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr[u]
+        return v in self.neighbor_sets()[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -69,10 +79,10 @@ class Graph:
                     yield u, v
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return min(map(len, self.adj), default=0)
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -107,30 +117,27 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Vertex sets by degree: classes[i] holds the vertices of degree i."""
+    """Vertex counts by degree: counts[i] is the number of vertices of degree i."""
 
     delta_max: int
     delta_min: int
-    classes: tuple[frozenset, ...]      # indexed 0..delta_max
+    counts: tuple[int, ...]             # indexed 0..delta_max
 
     def count(self, i: int) -> int:
         if 0 <= i <= self.delta_max:
-            return len(self.classes[i])
+            return self.counts[i]
         return 0
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return self.counts
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
     if g.n == 0:
         raise ValueError("empty graph")
-    dmax = g.max_degree()
-    buckets: list[set] = [set() for _ in range(dmax + 1)]
-    for v in range(g.n):
-        buckets[g.degree(v)].add(v)
-    return DegreeProfile(dmax, g.min_degree(),
-                         tuple(frozenset(b) for b in buckets))
+    tally = Counter(map(len, g.adj))
+    dmax = max(tally)
+    return DegreeProfile(dmax, min(tally), tuple(tally[i] for i in range(dmax + 1)))
 
 
 def is_in_class(g: Graph, delta: int) -> bool:
@@ -200,6 +207,16 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozense
 # ---------------------------------------------------------------------------
 # file formats
 
+# Python's default limit on the digits int() converts.  Longer numbers are
+# refused even where the process has lifted that limit (the CLI does, to
+# print large exact values), since converting them takes quadratic time.
+_MAX_DIGITS = 4300
+
+
+def _too_long(tokens: list[str]) -> bool:
+    return max(map(len, tokens)) > _MAX_DIGITS
+
+
 def parse_edge_list(text: str) -> Graph:
     """Whitespace-separated ``u v`` lines; ``#`` starts a comment.
 
@@ -208,14 +225,15 @@ def parse_edge_list(text: str) -> Graph:
     """
     raw_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
+        tokens = line.partition("#")[0].split()
         if len(tokens) != 2:
+            if not tokens:
+                continue
             raise ParseError(
                 f"line {lineno}: expected two vertex tokens, got {len(tokens)}")
         try:
+            if len(line) > _MAX_DIGITS and _too_long(tokens):
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(
@@ -225,11 +243,13 @@ def parse_edge_list(text: str) -> Graph:
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at {u}")
         raw_edges.append((u, v))
-    ids = sorted({x for e in raw_edges for x in e})
+    ids = set(chain.from_iterable(raw_edges))
+    if not ids or max(ids) == len(ids) - 1:
+        # distinct nonnegative labels up to len-1 are already 0..n-1
+        return Graph(len(ids), raw_edges)
+    ids = sorted(ids)
     index = {x: i for i, x in enumerate(ids)}
-    edges = [(index[u], index[v]) for u, v in raw_edges]
-    labels = None if ids == list(range(len(ids))) else ids
-    return Graph(len(ids), edges, labels)
+    return Graph(len(ids), [(index[u], index[v]) for u, v in raw_edges], ids)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -240,24 +260,14 @@ def parse_dimacs(text: str) -> Graph:
         tokens = line.split()
         if not tokens or tokens[0] == "c":
             continue
-        if tokens[0] == "p":
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate header")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(f"line {lineno}: expected 'p edge n m'")
-            try:
-                n = int(tokens[2])
-                int(tokens[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad header counts") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative vertex count")
-        elif tokens[0] == "e":
+        if tokens[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before 'p edge' header")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: expected 'e u v'")
             try:
+                if len(line) > _MAX_DIGITS and _too_long(tokens):
+                    raise ValueError
                 u, v = int(tokens[1]), int(tokens[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: vertex labels must be integers") from None
@@ -266,24 +276,45 @@ def parse_dimacs(text: str) -> Graph:
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop at {u}")
             edges.append((u - 1, v - 1))
+        elif tokens[0] == "p":
+            if n is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if len(tokens) != 4 or tokens[1] != "edge":
+                raise ParseError(f"line {lineno}: expected 'p edge n m'")
+            try:
+                if len(line) > _MAX_DIGITS and _too_long(tokens):
+                    raise ValueError
+                n = int(tokens[2])
+                int(tokens[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad header counts") from None
+            if n < 0:
+                raise ParseError(f"line {lineno}: negative vertex count")
         else:
             raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:
         raise ParseError("missing 'p edge' header")
     # keep the customary 1-based names for output
-    return Graph(n, edges, labels=[str(i + 1) for i in range(n)])
+    return Graph(n, edges, labels=range(1, n + 1))
 
 
 def parse_graph(text: str) -> Graph:
     """Sniff the format: DIMACS if the first content line is p/c/e, else edge list."""
-    for line in text.splitlines():
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        if body.split()[0] in ("p", "c", "e"):
-            return parse_dimacs(text)
-        return parse_edge_list(text)
-    return parse_edge_list(text)
+    # split only a growing prefix; every line of it but the last is whole
+    size = 4096
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        for line in lines if whole else lines[:-1]:
+            body = line.strip()
+            if not body or body.startswith("#"):
+                continue
+            if body.split()[0] in ("p", "c", "e"):
+                return parse_dimacs(text)
+            return parse_edge_list(text)
+        if whole:
+            return parse_edge_list(text)
+        size *= 4
 
 
 def load_graph(path) -> Graph:

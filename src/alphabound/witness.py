@@ -66,7 +66,8 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
     vset = set(verts)
     if len(components_within(g, vset)) != 1:
         raise ValueError("active set must induce a connected graph")
-    deg = {v: len(g.neighbor_set(v) & vset) for v in verts}
+    nbr = g.neighbor_sets()
+    deg = {v: len(nbr[v] & vset) for v in verts}
     dmin = min(deg.values())
     dmax = max(deg.values())
     if dmin == dmax:
@@ -500,14 +501,15 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All maximal cliques, each exactly once, in a deterministic order.
     Bron-Kerbosch with pivoting over a degeneracy ordering."""
     out: list[tuple[int, ...]] = []
+    nbr = g.neighbor_sets()
 
     def bk(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             out.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda t: (len(g.neighbor_set(t) & p), -t))
-        for v in sorted(p - g.neighbor_set(pivot)):
-            bk(r | {v}, p & g.neighbor_set(v), x & g.neighbor_set(v))
+        pivot = max(p | x, key=lambda t: (len(nbr[t] & p), -t))
+        for v in sorted(p - nbr[pivot]):
+            bk(r | {v}, p & nbr[v], x & nbr[v])
             p.remove(v)
             x.add(v)
 

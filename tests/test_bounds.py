@@ -112,8 +112,11 @@ def test_bound_report_checks_class_and_profile_once(monkeypatch):
     g = cycle_with_pendants(10)
     monkeypatch.setattr(Graph, "is_connected", counting_is_connected)
     monkeypatch.setattr(bounds, "degree_profile", counting_degree_profile)
-    bound_report(g, truncation_deltas=range(5, 13))
+    r = bound_report(g, truncation_deltas=range(5, 13))
     assert calls == {"is_connected": 1, "degree_profile": 1}
+    assert r.profile == degree_profile(g)
+    # the bounds read degree counts only, so no neighbour set is ever built
+    assert g._nbr is None
 
 
 @given(st.integers(3, 6), st.integers(0, 400))

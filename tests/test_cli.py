@@ -1,13 +1,17 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from alphabound import cli
+from alphabound import bounds, cli
+from alphabound.bounds import c_bound
 from alphabound.cli import _step_dict, main
 from alphabound.families import (attach_cliques, chain_blocks,
-                                 cycle_with_pendants, random_connected)
-from alphabound.graphcore import load_graph, write_edge_list
+                                 cycle_with_pendants, random_connected,
+                                 star_graph)
+from alphabound.graphcore import degree_profile, load_graph, write_edge_list
 from alphabound.witness import CertificationError, peel_witness
 
 
@@ -114,6 +118,56 @@ def test_bound_json(tmp_path, capsys):
     assert data["delta"] == 4
     assert data["bounds"]["weighted"]["exact"] == "75/8"
     assert data["degree_classes"] == {"1": 11, "3": 9, "4": 1}
+
+
+def test_bound_profiles_once_and_builds_no_neighbour_sets(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rc.txt"
+    path.write_text(write_edge_list(random_connected(300, 4, 1)))
+    loaded, calls = [], []
+    monkeypatch.setattr(cli, "load_graph", lambda f: loaded.append(load_graph(f)) or loaded[-1])
+    for module in (cli, bounds):
+        original = module.degree_profile
+        monkeypatch.setattr(module, "degree_profile",
+                            lambda g, original=original: calls.append(g) or original(g))
+    code, out, _ = run(capsys, "bound", str(path), "--json")
+    assert code == 0 and len(calls) == 1
+    g, = loaded
+    assert g._nbr is None
+    profile = degree_profile(g)
+    assert json.loads(out)["degree_classes"] == {
+        str(i): profile.count(i) for i in range(1, profile.delta_max + 1) if profile.count(i)}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+def test_large_degree_exact_values_print(tmp_path, capsys):
+    # from degree 1560 on the exact weighted bound has more than the 4300
+    # digits that str(int) prints by default
+    g = star_graph(1600)
+    path = tmp_path / "star.txt"
+    path.write_text(write_edge_list(g))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "bound", str(path), "--json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit    # lifted for the call only
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(json.loads(out)["bounds"]["weighted"]["exact"]) == c_bound(g)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for argv in (["witness", str(path)], ["verify", str(path)],
+                 ["coeffs", "--delta", "1560"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
+
+def test_long_label_still_refused(tmp_path, capsys):
+    # the digit limit is lifted for output only in effect: parsing still
+    # refuses labels longer than Python's default limit
+    path = tmp_path / "long.txt"
+    path.write_text("0 1\n1 1" + "0" * 5000 + "\n")
+    code, _, err = run(capsys, "bound", str(path))
+    assert code == 2 and err.endswith("line 2: vertex labels must be integers\n")
 
 
 def test_bound_missing_file(capsys):
