@@ -50,16 +50,18 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
+def _adjacency_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbourhood as a bitmask."""
+    return [sum(1 << v for v in nbrs) for nbrs in g.adj]
+
+
 def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
     n = g.n
     if n == 0:
         return ExactResult(0, frozenset(), 0)
     if budget < 1:
         raise ValueError("budget must be positive")
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            nbr[u] |= 1 << v
+    nbr = _adjacency_masks(g)
 
     best_size = 0
     best_mask = 0
@@ -150,10 +152,7 @@ def naive_alpha(g: Graph) -> ExactResult:
     n = g.n
     if n > 22:
         raise ValueError("naive enumeration is exponential; refusing n > 22")
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            nbr[u] |= 1 << v
+    nbr = _adjacency_masks(g)
     best_size, best_mask = 0, 0
     for s in range(1 << n):
         if s.bit_count() <= best_size:

@@ -25,7 +25,7 @@ import random
 from itertools import combinations
 from typing import Iterable
 
-from .graphcore import Graph
+from .graphcore import Graph, is_in_class
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +228,9 @@ def random_connected(n: int, delta: int, seed: int, retries: int = 1000) -> Grap
             if not cands:
                 break
             add(u, rng.choice(cands))
-        if max(deg) != delta:
-            continue
         g = Graph(n, edges)
-        if not g.is_connected():
-            continue
-        if g.n == delta + 1 and g.m == delta * (delta + 1) // 2:
-            continue    # complete graph on delta+1 vertices is out of class
-        return g
+        if is_in_class(g, delta):
+            return g
     raise ValueError(
         f"could not generate a connected graph with maximum degree {delta}"
         f" on {n} vertices after {retries} attempts")

@@ -8,10 +8,10 @@ vertex sets so that recursive algorithms never copy a graph.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -85,17 +85,7 @@ class Graph:
         return min(map(len, self.adj), default=0)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return self.n <= 1 or len(_bfs(self, (0,))) == self.n
 
     def is_complete(self) -> bool:
         return self.n >= 1 and self.m == self.n * (self.n - 1) // 2
@@ -145,9 +135,11 @@ def is_in_class(g: Graph, delta: int) -> bool:
     not the complete graph on delta+1 vertices."""
     if delta < 3:
         raise ValueError("class defined only for delta >= 3")
-    if g.n == 0 or g.max_degree() != delta or not g.is_connected():
+    try:
+        require_in_class(g, delta)
+    except ValueError:
         return False
-    return not (g.n == delta + 1 and g.m == delta * (delta + 1) // 2)
+    return True
 
 
 def require_in_class(g: Graph, delta: Optional[int] = None) -> int:
@@ -157,6 +149,8 @@ def require_in_class(g: Graph, delta: Optional[int] = None) -> int:
     """
     if g.n == 0:
         raise ValueError("not in class: empty graph")
+    if delta is not None and delta < 3:
+        raise ValueError("class defined only for delta >= 3")
     dmax = g.max_degree()
     if delta is None:
         delta = dmax
@@ -172,25 +166,32 @@ def require_in_class(g: Graph, delta: Optional[int] = None) -> int:
     return delta
 
 
+def _bfs(g: Graph, sources: Iterable[int],
+         within: Optional[AbstractSet[int]] = None) -> dict[int, int]:
+    """Breadth-first search from ``sources``, restricted to the vertex set
+    ``within`` when one is given.  Maps each reached vertex to its parent,
+    -1 at the sources, in visit order."""
+    parent = dict.fromkeys(sources, -1)
+    order = list(parent)
+    adj = g.adj
+    for v in order:                 # order grows as the search runs
+        for w in adj[v]:
+            if w not in parent and (within is None or w in within):
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
 def components_within(g: Graph, active: frozenset) -> list[frozenset]:
     """Connected components of the subgraph induced by ``active``,
     ordered by smallest contained vertex."""
     seen: set = set()
     out = []
     for s in sorted(active):
-        if s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        seen.add(s)
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if w in active and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
+        if s not in seen:
+            comp = frozenset(_bfs(g, (s,), active))
+            seen |= comp
+            out.append(comp)
     return out
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -40,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 from .bounds import c_bound
 from .coeffs import c_sequence, clipped_sequence
 from .exact import is_independent
-from .graphcore import Graph, components_within, require_in_class
+from .graphcore import Graph, _bfs, components_within, require_in_class
 
 
 class CertificationError(RuntimeError):
@@ -72,22 +71,17 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
     dmax = max(deg.values())
     if dmin == dmax:
         raise ValueError("no peel vertex in regular graph")
-    parent = {}
-    q = deque()
-    for v in verts:
-        if deg[v] == dmin:
-            parent[v] = -1
-            q.append(v)
+    parent = {v: -1 for v in verts if deg[v] == dmin}
+    queue = list(parent)
     target = None
-    while q:
-        v = q.popleft()
-        if deg[v] == dmax and target is None:
+    for v in queue:                 # queue grows as the search runs
+        if deg[v] == dmax:
             target = v
             break
         for w in g.adj[v]:
             if w in vset and w not in parent:
                 parent[w] = v
-                q.append(w)
+                queue.append(w)
     _check(target is not None, "search never reached the maximum degree class")
     chain = [target]
     while parent[chain[-1]] != -1:
@@ -138,8 +132,8 @@ class WitnessResult:
 def peel_witness(g: Graph) -> WitnessResult:
     """Independent set at least as large as the degree-weighted bound,
     together with the step-by-step accounting that certifies it."""
-    delta = require_in_class(g)
-    cs = c_sequence(delta)
+    bound = c_bound(g)          # runs the class check
+    cs = c_sequence(g.max_degree())
     trace: list = []
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 100))
     # The ledger is kept in integer units of 1/scale, where scale is the lcm
@@ -174,11 +168,7 @@ def peel_witness(g: Graph) -> WitnessResult:
                 taken = _alternate_cycle(g, piece)
                 kind = "cycle"
             else:
-                colors = _color_piece(g, piece)
-                classes: dict[int, list[int]] = {}
-                for v, c in colors.items():
-                    classes.setdefault(c, []).append(v)
-                taken = set(max(classes.values(), key=lambda vs: (len(vs), -min(vs))))
+                taken = set(_largest_class(_color_piece(g, piece)))
                 kind = "coloring"
             _check(len(taken) * scale >= target,
                    "regular base case fell short of its weight")
@@ -216,7 +206,6 @@ def peel_witness(g: Graph) -> WitnessResult:
             chosen |= rec(comp, h)
         return chosen
 
-    bound = c_bound(g)
     owed = bound * scale
     _check(owed.denominator == 1, "bound is not a whole number of ledger units")
     chosen = rec(tuple(range(g.n)), owed.numerator)
@@ -246,16 +235,7 @@ def _alternate_cycle(g: Graph, piece: Sequence[int]) -> set[int]:
 
 def _bfs_order(g: Graph, piece: Sequence[int], root: int) -> list[int]:
     pset = set(piece)
-    seen = {root}
-    order = [root]
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for w in g.adj[v]:
-            if w in pset and w not in seen:
-                seen.add(w)
-                order.append(w)
-                q.append(w)
+    order = list(_bfs(g, (root,), pset))
     _check(len(order) == len(pset), "coloring piece is not connected")
     return order
 
@@ -268,16 +248,16 @@ def _first_free(used: set[int], palette: int) -> int:
 
 
 def _greedy_from_root(g: Graph, piece: Sequence[int], root: int,
-                      palette: int) -> dict[int, int]:
+                      palette: int, colors: dict[int, int]) -> dict[int, int]:
+    """Colour ``piece`` greedily into ``colors``, which holds only vertices
+    of the piece or precoloured vertices next to it, and return it."""
     # reverse breadth-first order: every vertex except the root still has
     # its tree parent uncolored when its turn comes, so at most palette-1
     # neighbor colors are in use; the root itself must see < palette
     # distinct neighbor colors for other reasons (fewer neighbors, or two
     # neighbors sharing a color)
-    pset = set(piece)
-    colors: dict[int, int] = {}
     for v in reversed(_bfs_order(g, piece, root)):
-        used = {colors[w] for w in g.adj[v] if w in pset and w in colors}
+        used = {colors[w] for w in g.adj[v] if w in colors}
         colors[v] = _first_free(used, palette)
     return colors
 
@@ -349,30 +329,32 @@ def _color_piece(g: Graph, piece: Sequence[int]) -> dict[int, int]:
     k = len(piece)
     low = [v for v in sorted(piece) if deg[v] < dmax]
     if low:
-        return _greedy_from_root(g, piece, low[0], dmax)
+        return _greedy_from_root(g, piece, low[0], dmax, {})
     # regular piece
     if all(deg[v] == k - 1 for v in piece):
         raise ValueError("coloring undefined for the complete graph")
     _check(dmax >= 3, "regular coloring base needs degree at least 3")
-    pset = pieces
     cut = _find_cut_vertex(g, piece)
     if cut is not None:
         colors: dict[int, int] = {}
-        for comp in components_within(g, pset - {cut}):
+        for comp in components_within(g, pieces - {cut}):
             sub = list(comp) + [cut]
-            part = _greedy_from_root(g, sub, cut, dmax)
+            part = _greedy_from_root(g, sub, cut, dmax, {})
             # permute so the cut vertex is color 0 in every part, then glue
             swap = part[cut]
             for v, c in part.items():
                 colors[v] = 0 if c == swap else (swap if c == 0 else c)
         return colors
     v, x, y = _find_split_triple(g, piece)
-    colors = {x: 0, y: 0}
-    rest = pset - {x, y}
-    for w in reversed(_bfs_order(g, rest, v)):
-        used = {colors[z] for z in g.adj[w] if z in pset and z in colors}
-        colors[w] = _first_free(used, dmax)
-    return colors
+    return _greedy_from_root(g, pieces - {x, y}, v, dmax, {x: 0, y: 0})
+
+
+def _largest_class(colors: dict[int, int]) -> list[int]:
+    """Largest colour class, ties to the class with the smaller least vertex."""
+    classes: dict[int, list[int]] = {}
+    for v, c in colors.items():
+        classes.setdefault(c, []).append(v)
+    return max(classes.values(), key=lambda vs: (len(vs), -min(vs)))
 
 
 def brooks_coloring(g: Graph) -> dict[int, int]:
@@ -397,11 +379,7 @@ def brooks_coloring(g: Graph) -> dict[int, int]:
 def brooks_independent_set(g: Graph) -> tuple[int, ...]:
     """Largest color class of a Brooks coloring: at least n/max_degree
     vertices."""
-    colors = brooks_coloring(g)
-    classes: dict[int, list[int]] = {}
-    for v, c in colors.items():
-        classes.setdefault(c, []).append(v)
-    best = max(classes.values(), key=lambda vs: (len(vs), -min(vs)))
+    best = _largest_class(brooks_coloring(g))
     _check(len(best) * g.max_degree() >= g.n,
            "largest color class smaller than n over max degree")
     return tuple(sorted(best))

@@ -11,7 +11,7 @@ from alphabound.cli import _step_dict, main
 from alphabound.families import (attach_cliques, chain_blocks,
                                  cycle_with_pendants, random_connected,
                                  star_graph)
-from alphabound.graphcore import degree_profile, load_graph, write_edge_list
+from alphabound.graphcore import Graph, degree_profile, load_graph, write_edge_list
 from alphabound.witness import CertificationError, peel_witness
 
 
@@ -333,6 +333,40 @@ def test_verify_disconnected(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
     assert "graph not connected" in err
+
+
+def test_verify_makes_four_connectivity_passes(tmp_path, capsys, monkeypatch):
+    path = gen_gstar(tmp_path, capsys)
+    calls = []
+    is_connected = Graph.is_connected
+    monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g) or is_connected(g))
+    code, _, _ = run(capsys, "verify", path)
+    # its own pre-check, then the class checks of bound_report, c_bound
+    # (inside the peel) and clipped_weights
+    assert code == 0 and len(calls) == 4
+
+
+# name: (file text, the class check's message, verify's own pre-check message)
+OUT_OF_CLASS = {
+    "empty": ("", "not in class: empty graph", "empty graph"),
+    "k4": ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+           "not in class: graph is the complete graph on 4 vertices",
+           "graph is the complete graph on 4 vertices; bounds do not apply"),
+    "disconnected": ("0 1\n1 2\n3 4\n", "not in class: maximum degree 2 < 3",
+                     "graph not connected"),
+    "p4": ("0 1\n1 2\n2 3\n", "not in class: maximum degree 2 < 3", None),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_CLASS)
+@pytest.mark.parametrize("command", ["verify", "bound", "witness"])
+def test_out_of_class_messages_pinned(command, name, tmp_path, capsys):
+    text, message, precheck = OUT_OF_CLASS[name]
+    if command == "verify" and precheck:
+        message = precheck
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_verify_skips_exact_above_threshold(tmp_path, capsys):

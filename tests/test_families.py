@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +155,17 @@ def test_random_connected_avoids_complete_graph():
         g = random_connected(4, 3, seed)
         assert is_in_class(g, 3)
         assert not g.is_complete()
+
+
+def test_random_connected_output_pinned():
+    # the benchmark corpora and their golden values are built from these
+    # graphs; n = delta+1 and delta+2 run the retry past K_{delta+1}
+    h = hashlib.sha256()
+    for delta in range(3, 7):
+        for n in (delta + 1, delta + 2, 10, 40, 100):
+            for seed in range(25):
+                h.update(repr(random_connected(n, delta, seed).adj).encode())
+    assert h.hexdigest() == "4ed108e4933c9cfcaceca5ddd9a4fbeacf01e440710cd1ebb233ecf87dea502d"
 
 
 def test_random_connected_validation():

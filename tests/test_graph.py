@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphabound.families import circulant_graph
+from alphabound.families import circulant_graph, complete_graph
 from alphabound.graphcore import (Graph, ParseError, connected_components,
                                   components_within, degree_profile,
                                   is_in_class, load_graph, parse_dimacs,
                                   parse_edge_list, parse_graph,
                                   require_in_class, write_dimacs,
                                   write_edge_list)
+from alphabound.witness import CertificationError, _bfs_order
 
 
 def small_graphs():
@@ -112,6 +113,46 @@ def test_require_in_class_messages():
         require_in_class(k4)
 
 
+def test_require_in_class_explicit_delta_below_three():
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for delta in (0, 2):
+        with pytest.raises(ValueError, match=r"^class defined only for delta >= 3$"):
+            require_in_class(star, delta)
+    # the inferred degree keeps naming the graph's own maximum degree
+    with pytest.raises(ValueError, match=r"^not in class: maximum degree 2 < 3$"):
+        require_in_class(Graph(3, [(0, 1), (1, 2)]))
+
+
+def disjoint_union(g, h):
+    return Graph(g.n + h.n, [*g.edges(), *((u + g.n, v + g.n) for u, v in h.edges())])
+
+
+@st.composite
+def class_cases(draw):
+    """A graph and a degree: small graphs, complete graphs K_{d+1} and
+    disjoint unions, against their own maximum degree or any other."""
+    g = draw(st.one_of(small_graphs(), st.integers(1, 8).map(complete_graph),
+                       st.builds(disjoint_union, small_graphs(), small_graphs())))
+    delta = draw(st.one_of(st.just(g.max_degree()), st.integers(0, 9)))
+    return g, delta
+
+
+@given(class_cases())
+@settings(max_examples=300, deadline=None)
+def test_is_in_class_agrees_with_require_in_class(case):
+    g, delta = case
+    if delta < 3:
+        for check in (is_in_class, require_in_class):
+            with pytest.raises(ValueError, match=r"^class defined only for delta >= 3$"):
+                check(g, delta)
+        return
+    try:
+        passes = require_in_class(g, delta) == delta
+    except ValueError:
+        passes = False
+    assert is_in_class(g, delta) is passes
+
+
 def test_components():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
     comps = connected_components(g)
@@ -122,6 +163,42 @@ def test_components():
         connected_components(g, removed=[9])
     assert components_within(g, {0, 2, 3, 4}) == [
         frozenset({0}), frozenset({2}), frozenset({3, 4})]
+
+
+@st.composite
+def graphs_with_active_sets(draw):
+    """Sparse graphs on up to 12 vertices, where search orders differ most,
+    and a vertex subset drawn as the vertices left after a deletion."""
+    n = draw(st.integers(1, 12))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+    g = Graph(n, [(u, v) for u, v in pairs if u != v])
+    return g, frozenset(range(n)) - draw(st.sets(ends))
+
+
+@given(graphs_with_active_sets())
+@settings(max_examples=200, deadline=None)
+def test_breadth_first_users_match_networkx(case):
+    """One oracle for every caller of the breadth-first helper."""
+    nx = pytest.importorskip("networkx")
+    g, active = case
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(g.n))
+    assert g.is_connected() == nx.is_connected(G)
+    expected = sorted(map(frozenset, nx.connected_components(G.subgraph(active))), key=min)
+    assert components_within(g, active) == expected
+    removed = set(range(g.n)) - active
+    assert connected_components(g, removed) == expected
+    for comp in expected:
+        root = max(comp)
+        order = _bfs_order(g, comp, root)
+        dist = nx.single_source_shortest_path_length(G.subgraph(comp), root)
+        assert order[0] == root and set(order) == comp and len(order) == len(comp)
+        assert [dist[v] for v in order] == sorted(dist[v] for v in order)
+        assert all(set(g.adj[v]) & set(order[:i]) for i, v in enumerate(order) if i)
+    if len(expected) > 1:
+        with pytest.raises(CertificationError, match="not connected"):
+            _bfs_order(g, active, min(active))
 
 
 # --- parsing ----------------------------------------------------------------
