@@ -9,7 +9,6 @@ counts; a node budget turns runaway instances into a clean error.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,10 +34,6 @@ class BudgetExceeded(RuntimeError):
         self.best_size = best_size
         self.best_set = best_set
         self.nodes = nodes
-
-
-class _Stop(Exception):
-    pass
 
 
 def _mask_to_set(mask: int) -> frozenset:
@@ -83,10 +78,13 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 cliques.append(low)
         return len(cliques)
 
-    def search(mask: int, size: int, chosen: int):
-        nonlocal nodes, best_size, best_mask
+    # depth-first worklist of (mask, size, chosen); the in-branch is pushed
+    # last so it is searched first
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
         if nodes >= budget:
-            raise _Stop
+            raise BudgetExceeded(budget, best_size, _mask_to_set(best_mask), nodes)
+        mask, size, chosen = stack.pop()
         nodes += 1
         # reduction: repeatedly take the lowest simplicial vertex
         while mask:
@@ -119,9 +117,9 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             if size > best_size:
                 best_size = size
                 best_mask = chosen
-            return
+            continue
         if size + cover_bound(mask) <= best_size:
-            return
+            continue
         # branch on a max-degree residual vertex, ties to the smallest index
         bv, bd = -1, -1
         mm = mask
@@ -133,17 +131,8 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             if d > bd:
                 bv, bd = v, d
         bit = 1 << bv
-        search(mask & ~(bit | nbr[bv]), size + 1, chosen | bit)
-        search(mask & ~bit, size, chosen)
-
-    limit = sys.getrecursionlimit()
-    if limit < 2 * n + 100:
-        sys.setrecursionlimit(2 * n + 100)
-    try:
-        search((1 << n) - 1, 0, 0)
-    except _Stop:
-        raise BudgetExceeded(budget, best_size, _mask_to_set(best_mask),
-                             nodes) from None
+        stack.append((mask & ~bit, size, chosen))
+        stack.append((mask & ~(bit | nbr[bv]), size + 1, chosen | bit))
     return ExactResult(best_size, _mask_to_set(best_mask), nodes)
 
 

@@ -3,7 +3,7 @@
 Vertices are dense integers 0..n-1.  Inputs whose labels are sparse or
 1-based are relabeled on ingestion and the original labels ride along on
 the graph for output.  Deletion is expressed through ``removed``/``active``
-vertex sets so that recursive algorithms never copy a graph.
+vertex sets so that the peel and the searches never copy a graph.
 """
 
 from __future__ import annotations

@@ -4,14 +4,15 @@
 independent set.  It repeatedly picks a minimum-degree vertex whose
 closed neighborhood can be bought for weight at most 1 (there is always
 a neighbor of strictly larger degree on a shortest path toward the
-maximum-degree class), deletes the closed neighborhood, and recurses on
-the surviving components with the weight they are owed.  Regular pieces
+maximum-degree class), deletes the closed neighborhood, and puts the
+surviving components on a depth-first worklist with the weight they are
+owed, so the stack depth does not grow with the graph.  Regular pieces
 are finished off directly: cycles by alternation, everything else
 through a constructive Brooks coloring.  Complete pieces deliver a
 single vertex, which is enough because the weight handed to a clique
 that lost an edge to the deleted neighborhood never exceeds 1.
 
-Throughout the recursion the ORIGINAL graph's coefficient sequence is
+Throughout the peel the ORIGINAL graph's coefficient sequence is
 used; degrees only drop as vertices are deleted, and the coefficients
 grow as degrees drop, so every child component's internal target covers
 what its parent owes it.  Each step's accounting is an exact identity,
@@ -29,7 +30,6 @@ independence number.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -127,7 +127,7 @@ class WitnessResult:
 
 
 # ---------------------------------------------------------------------------
-# the peeling recursion
+# the peeling worklist
 
 def peel_witness(g: Graph) -> WitnessResult:
     """Independent set at least as large as the degree-weighted bound,
@@ -135,7 +135,6 @@ def peel_witness(g: Graph) -> WitnessResult:
     bound = c_bound(g)          # runs the class check
     cs = c_sequence(g.max_degree())
     trace: list = []
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 100))
     # The ledger is kept in integer units of 1/scale, where scale is the lcm
     # of the coefficient denominators: weight[d] = c_d * scale.  No vertex of
     # a piece has degree 0, so weight[0] is never read.
@@ -147,8 +146,10 @@ def peel_witness(g: Graph) -> WitnessResult:
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
 
-    def rec(piece: tuple[int, ...], owed: int) -> set[int]:
-        # piece is sorted, as the trace records it
+    chosen: set[int] = set()
+    # the per-layer benchmark counts components_within calls made from "rec"
+    def rec(piece: tuple[int, ...], owed: int) -> list[tuple[tuple[int, ...], int]]:
+        """Settle one sorted piece; return its (component, handoff) pairs."""
         degs = [deg[v] for v in piece]
         k = len(piece)
         target = sum([weight[d] for d in degs])
@@ -156,25 +157,27 @@ def peel_witness(g: Graph) -> WitnessResult:
         dmax = max(degs)
         if dmin == k - 1:
             # complete piece: one vertex, owed at most 1 since some vertex
-            # lost an outside neighbor (the recursion never owes a clique
-            # its full internal weight)
+            # lost an outside neighbor (the peel never owes a clique its
+            # full internal weight)
             _check(owed <= scale, "complete component owed more than one vertex")
             trace.append(BaseStep("complete", piece, piece[:1],
                                   Fraction(target, scale), Fraction(owed, scale)))
-            return {piece[0]}
+            chosen.add(piece[0])
+            return []
         _check(owed <= target, "piece owed more than its own weight")
         if dmin == dmax:
             if dmin == 2:
                 taken = _alternate_cycle(g, piece)
                 kind = "cycle"
             else:
-                taken = set(_largest_class(_color_piece(g, piece)))
+                taken = set(_largest_class(_color_regular(g, piece, dmin)))
                 kind = "coloring"
             _check(len(taken) * scale >= target,
                    "regular base case fell short of its weight")
             trace.append(BaseStep(kind, piece, tuple(sorted(taken)),
                                   Fraction(target, scale), Fraction(owed, scale)))
-            return taken
+            chosen.update(taken)
+            return []
         u = select_peel_vertex(g, piece)
         nbrs = tuple(w for w in g.adj[u] if alive[w])
         share = weight[deg[u]] + sum([weight[deg[w]] for w in nbrs])
@@ -201,14 +204,17 @@ def peel_witness(g: Graph) -> WitnessResult:
                               Fraction(share, scale), Fraction(iso_share, scale),
                               tuple(Fraction(h, scale) for h in handoffs),
                               Fraction(target, scale), Fraction(owed, scale)))
-        chosen = {u, *isolated}
-        for comp, h in zip(comps, handoffs):
-            chosen |= rec(comp, h)
-        return chosen
+        chosen.add(u)
+        chosen.update(isolated)
+        return list(zip(comps, handoffs))
 
     owed = bound * scale
     _check(owed.denominator == 1, "bound is not a whole number of ledger units")
-    chosen = rec(tuple(range(g.n)), owed.numerator)
+    # depth-first worklist: a piece's components are settled in order, each
+    # before the next, so the trace keeps the pre-order of the steps
+    work = [(tuple(range(g.n)), owed.numerator)]
+    while work:
+        work += reversed(rec(*work.pop()))
     ind = tuple(sorted(chosen))
     _check(is_independent(g, ind), "witness set is not independent")
     _check(Fraction(len(ind)) >= bound, "witness smaller than the bound")
@@ -321,32 +327,24 @@ def _find_split_triple(g: Graph, piece: Sequence[int]):
     raise CertificationError("no split triple in a two-connected regular piece")
 
 
-def _color_piece(g: Graph, piece: Sequence[int]) -> dict[int, int]:
-    """Proper coloring of the induced piece with max-degree many colors."""
+def _color_regular(g: Graph, piece: Sequence[int], d: int) -> dict[int, int]:
+    """Proper coloring with d colors of the connected induced piece, which
+    is d-regular and not complete."""
+    _check(d >= 3, "regular coloring base needs degree at least 3")
     pieces = set(piece)
-    deg = {v: sum(1 for w in g.adj[v] if w in pieces) for v in piece}
-    dmax = max(deg.values())
-    k = len(piece)
-    low = [v for v in sorted(piece) if deg[v] < dmax]
-    if low:
-        return _greedy_from_root(g, piece, low[0], dmax, {})
-    # regular piece
-    if all(deg[v] == k - 1 for v in piece):
-        raise ValueError("coloring undefined for the complete graph")
-    _check(dmax >= 3, "regular coloring base needs degree at least 3")
     cut = _find_cut_vertex(g, piece)
     if cut is not None:
         colors: dict[int, int] = {}
         for comp in components_within(g, pieces - {cut}):
             sub = list(comp) + [cut]
-            part = _greedy_from_root(g, sub, cut, dmax, {})
+            part = _greedy_from_root(g, sub, cut, d, {})
             # permute so the cut vertex is color 0 in every part, then glue
             swap = part[cut]
             for v, c in part.items():
                 colors[v] = 0 if c == swap else (swap if c == 0 else c)
         return colors
     v, x, y = _find_split_triple(g, piece)
-    return _greedy_from_root(g, pieces - {x, y}, v, dmax, {x: 0, y: 0})
+    return _greedy_from_root(g, pieces - {x, y}, v, d, {x: 0, y: 0})
 
 
 def _largest_class(colors: dict[int, int]) -> list[int]:
@@ -369,7 +367,9 @@ def brooks_coloring(g: Graph) -> dict[int, int]:
         raise ValueError("coloring requires maximum degree >= 3")
     if g.is_complete():
         raise ValueError("coloring undefined for the complete graph")
-    colors = _color_piece(g, range(g.n))
+    low = next((v for v in range(g.n) if g.degree(v) < dmax), None)
+    colors = (_color_regular(g, range(g.n), dmax) if low is None
+              else _greedy_from_root(g, range(g.n), low, dmax, {}))
     for u, w in g.edges():
         _check(colors[u] != colors[w], "coloring is not proper")
     _check(max(colors.values()) < dmax, "coloring used too many colors")
@@ -480,21 +480,30 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     Bron-Kerbosch with pivoting over a degeneracy ordering."""
     out: list[tuple[int, ...]] = []
     nbr = g.neighbor_sets()
+    # depth-first worklist of (r, p, x, candidates left to branch on)
+    stack: list = []
 
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
+    def enter(r: set[int], p: set[int], x: set[int]) -> None:
         if not p and not x:
             out.append(tuple(sorted(r)))
             return
         pivot = max(p | x, key=lambda t: (len(nbr[t] & p), -t))
-        for v in sorted(p - nbr[pivot]):
-            bk(r | {v}, p & nbr[v], x & nbr[v])
-            p.remove(v)
-            x.add(v)
+        stack.append((r, p, x, iter(sorted(p - nbr[pivot]))))
 
     order = _degeneracy_order(g)
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         later = {w for w in g.adj[v] if pos[w] > pos[v]}
         earlier = {w for w in g.adj[v] if pos[w] < pos[v]}
-        bk({v}, later, earlier)
+        enter({v}, later, earlier)
+        while stack:
+            r, p, x, todo = stack[-1]
+            w = next(todo, None)
+            if w is None:
+                stack.pop()
+                continue
+            # the child gets its own sets, built before w moves from p to x
+            enter(r | {w}, p & nbr[w], x & nbr[w])
+            p.remove(w)
+            x.add(w)
     return sorted(out)

@@ -1,5 +1,6 @@
 """Exact solver against the brute-force oracle and structured instances."""
 
+import hashlib
 import random
 
 import pytest
@@ -94,3 +95,31 @@ def test_is_independent_validation():
 def test_empty_graph():
     r = exact_alpha(Graph(0))
     assert r.alpha == 0 and r.optimal_set == frozenset()
+
+
+def digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_search_order_pinned():
+    # optimal sets and node counts depend on the order the search visits nodes
+    rows = []
+    for n in (30, 45, 60):
+        for s in range(5):
+            r = exact_alpha(random_connected(n, 4, s))
+            rows.append((n, s, r.alpha, r.nodes_explored, sorted(r.optimal_set)))
+    assert digest(rows) == \
+        "2e7829c7e1eb46d12f9689c41130e27de05552923133efcb0df073a8fecf2157"
+
+
+def test_best_so_far_pinned():
+    g = random_connected(90, 4, 9)      # 1533 nodes to solve
+    rows = []
+    for b in (10, 100, 1000, 2000):
+        try:
+            r = exact_alpha(g, budget=b)
+            rows.append((b, r.alpha, sorted(r.optimal_set), r.nodes_explored))
+        except BudgetExceeded as exc:
+            rows.append((b, exc.best_size, sorted(exc.best_set), exc.nodes))
+    assert digest(rows) == \
+        "e38ee99700b832ea67aeafe97fd60d3391ae73ded5408b8cc06ed58b8fb79ced"

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -304,20 +303,10 @@ def test_brooks_coloring_pinned(build, digest):
     assert hashlib.sha256(repr(sorted(colors.items())).encode()).hexdigest() == digest
 
 
-def test_brooks_depth_does_not_grow_with_n(monkeypatch):
+def test_brooks_depth_does_not_grow_with_n(shallow_stack):
     # a recursive search would be about n frames deep here
-    def refuse(limit):
-        raise AssertionError("the Brooks path changed the recursion limit")
-
     g = circulant_graph(5000, [1, 2])
-    set_limit = sys.setrecursionlimit
-    old = sys.getrecursionlimit()
-    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    set_limit(1000)             # the interpreter's default
-    try:
-        assert_proper(g, brooks_coloring(g), 4)
-    finally:
-        set_limit(old)
+    assert_proper(g, brooks_coloring(g), 4)
 
 
 def brute_cut_vertex(g, piece):
@@ -450,6 +439,29 @@ def test_maximal_cliques_match_brute_force(seed):
              if rng.random() < 0.5]
     g = Graph(n, edges)
     assert enumerate_maximal_cliques(g) == brute_maximal_cliques(g)
+
+
+def test_maximal_cliques_pinned():
+    graphs = [random_connected(60, d, s) for d in range(3, 6) for s in range(5)]
+    graphs += [attach_cliques(6, 10, 3), regular_blocks(5, regular_template(5, 12))]
+    outs = [enumerate_maximal_cliques(g) for g in graphs]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == \
+        "c585a7d3ec7f19baeb4baab3f9573b17a97db0462f7ebc5fced8b27b2b24e26c"
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_maximal_cliques_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = rng.randint(0, 40)
+    p = rng.choice([0.1, 0.3, 0.6, 0.9])
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p]
+    ref = nx.Graph(edges)
+    ref.add_nodes_from(range(n))
+    expected = sorted(tuple(sorted(c)) for c in nx.find_cliques(ref))
+    assert enumerate_maximal_cliques(Graph(n, edges)) == expected
 
 
 def test_cliques_deterministic():
