@@ -9,8 +9,11 @@ the four benchmark workloads with ``perfbench/corpus.py`` and its own
 ``alphabound.families``, and the two sets of files must be byte-identical.
 Every job then runs as ``python -m alphabound.cli`` under both trees, on the
 same files, and the exit code, stdout, stderr and the sha256 of the
-``--trace`` file are compared.  Prints the number of differing jobs and
-exits 1 if any job or corpus differs.
+``--trace`` file are compared.  A fixed list of invocations outside the
+workloads (``gen`` for every family, refused options, ``coeffs``, ``table``
+and every ``--help``) is compared the same way.  Prints the number of
+differing jobs and invocations and exits 1 if any of them or any corpus
+differs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,33 @@ print(json.dumps(result))
 """
 
 
+# commands no workload runs; none of them reads a graph file
+OTHER_INVOCATIONS = [
+    ["gen", "regular-blocks", "--delta", "3", "--template-size", "4"],
+    ["gen", "chain", "--delta", "3", "--blocks", "3"],
+    ["gen", "attach", "--delta", "4", "--blocks", "3", "--clique", "2"],
+    ["gen", "pendant-cycle", "--cycle", "5"],
+    ["gen", "random", "--vertices", "12", "--delta", "4", "--seed", "3"],
+    ["gen", "regular-blocks", "--delta", "3"],
+    ["gen", "chain", "--blocks", "3"],
+    ["gen", "attach", "--delta", "4", "--blocks", "3"],
+    ["gen", "pendant-cycle"],
+    ["gen", "random", "--delta", "4"],
+    ["bound", "missing.txt", "--delta-range", "7..5"],
+    ["verify", "missing.txt", "--delta-range", "a..b"],
+    ["coeffs", "--delta", "4", "--format", "decimal:0"],
+    ["coeffs", "--delta", "4", "--format", "decimal:x"],
+    ["coeffs", "--delta", "4", "--format", "hex"],
+    ["coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"],
+    *[["coeffs", "--delta", "6", "--kind", kind, "--format", fmt]
+      for kind in ("c", "d", "clipped") for fmt in ("rational", "decimal:20")],
+    ["table", "--delta", "6"],
+    ["--help"],
+    *[[command, "--help"] for command in
+      ("coeffs", "bound", "witness", "exact", "gen", "verify", "table")],
+]
+
+
 def tree_env(src: Path, *extra: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, *extra))))
     env.pop("ALPHABOUND_BUDGET", None)
@@ -68,6 +98,11 @@ def run_job(src: Path, argv: list[str], trace: Path) -> dict:
         trace.unlink()
     return {"exit code": proc.returncode, "stdout": proc.stdout,
             "stderr": proc.stderr, "trace sha256": digest}
+
+
+def differing_fields(trees: dict, argv: list[str], trace: Path) -> list[str]:
+    parent, change = (run_job(src, argv, trace) for src in trees.values())
+    return [f for f in parent if parent[f] != change[f]]
 
 
 def main(argv=None) -> int:
@@ -95,14 +130,19 @@ def main(argv=None) -> int:
             # both trees read the parent's files, so paths in outputs agree
             for key, path in wl["jobs"]:
                 total += 1
-                cli_args = [wl["command"], path, *options]
-                parent, change = (run_job(src, cli_args, trace) for src in trees.values())
-                fields = [f for f in parent if parent[f] != change[f]]
+                fields = differing_fields(trees, [wl["command"], path, *options], trace)
                 if fields:
                     differing += 1
                     print(f"{name} {key}: {', '.join(fields)} differ")
+        others = 0
+        for cli_args in OTHER_INVOCATIONS:
+            fields = differing_fields(trees, cli_args, trace)
+            if fields:
+                others += 1
+                print(f"alphabound {' '.join(cli_args)}: {', '.join(fields)} differ")
     print(f"{differing} of {total} jobs differ (seed {args.seed})")
-    return 1 if differing or corpus_diffs else 0
+    print(f"{others} of {len(OTHER_INVOCATIONS)} other invocations differ")
+    return 1 if differing or corpus_diffs or others else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str) -> tuple[int, ...]:
     lo, sep, hi = text.partition("..")
     if not sep:
         lo = hi = text
@@ -53,7 +53,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"not a range: {text!r} (expected A..B)")
     if a > b:
         raise ValueError(f"empty range: {text!r}")
-    return a, b
+    return tuple(range(a, b + 1))
 
 
 def _budget(args) -> int:
@@ -126,11 +126,7 @@ def _bound_rows(g: Graph, deltas: tuple[int, ...]):
 
 def cmd_bound(args) -> int:
     g = load_graph(args.graph)
-    deltas: tuple[int, ...] = ()
-    if args.delta_range:
-        a, b = args.delta_range
-        deltas = tuple(range(a, b + 1))
-    report, rows = _bound_rows(g, deltas)
+    report, rows = _bound_rows(g, args.delta_range)
     delta = report.delta_max
     profile = report.profile
     if args.json:
@@ -244,35 +240,28 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
+# family -> (its options in header order, how many of them are required,
+# the builder taking their values in that order)
+GENERATORS = {
+    "regular-blocks": (("delta", "template-size"), 2,
+                       lambda d, k: regular_blocks(d, regular_template(d, k))),
+    "chain": (("delta", "blocks"), 2, chain_blocks),
+    "attach": (("delta", "blocks", "clique"), 3, attach_cliques),
+    "pendant-cycle": (("cycle",), 1, cycle_with_pendants),
+    "random": (("vertices", "delta", "seed"), 2, random_connected),
+}
+
+
 def cmd_gen(args) -> int:
-    family = args.family
-    if family == "regular-blocks":
-        if args.delta is None or args.template_size is None:
-            raise ValueError("regular-blocks needs --delta and --template-size")
-        template = regular_template(args.delta, args.template_size)
-        g = regular_blocks(args.delta, template)
-        header = f"gen regular-blocks delta={args.delta} template-size={args.template_size}"
-    elif family == "chain":
-        if args.delta is None or args.blocks is None:
-            raise ValueError("chain needs --delta and --blocks")
-        g = chain_blocks(args.delta, args.blocks)
-        header = f"gen chain delta={args.delta} blocks={args.blocks}"
-    elif family == "attach":
-        if args.delta is None or args.blocks is None or args.clique is None:
-            raise ValueError("attach needs --delta, --blocks and --clique")
-        g = attach_cliques(args.delta, args.blocks, args.clique)
-        header = f"gen attach delta={args.delta} blocks={args.blocks} clique={args.clique}"
-    elif family == "pendant-cycle":
-        if args.cycle is None:
-            raise ValueError("pendant-cycle needs --cycle")
-        g = cycle_with_pendants(args.cycle)
-        header = f"gen pendant-cycle cycle={args.cycle}"
-    else:
-        if args.vertices is None or args.delta is None:
-            raise ValueError("random needs --vertices and --delta")
-        g = random_connected(args.vertices, args.delta, args.seed)
-        header = f"gen random vertices={args.vertices} delta={args.delta} seed={args.seed}"
-    text = write_edge_list(g, header=header)
+    names, required, build = GENERATORS[args.family]
+    values = [getattr(args, name.replace("-", "_")) for name in names]
+    if None in values[:required]:
+        *rest, last = [f"--{name}" for name in names[:required]]
+        listed = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"{args.family} needs {listed}")
+    header = " ".join([f"gen {args.family}",
+                       *(f"{name}={v}" for name, v in zip(names, values))])
+    text = write_edge_list(build(*values), header=header)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -299,11 +288,7 @@ def cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append((name, ok, detail))
 
-    deltas: tuple[int, ...] = ()
-    if args.delta_range:
-        a, b = args.delta_range
-        deltas = tuple(range(a, b + 1))
-    report, rows = _bound_rows(g, deltas)
+    report, rows = _bound_rows(g, args.delta_range)
     delta = report.delta_max
 
     result = peel_witness(g)
@@ -396,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bound", help="lower bounds for a graph file")
     pb.add_argument("graph")
-    pb.add_argument("--delta-range", type=_parse_range, default=None,
+    pb.add_argument("--delta-range", type=_parse_range, default=(),
                     help="also evaluate truncated bounds for A..B")
     pb.add_argument("--json", action="store_true")
     pb.set_defaults(func=cmd_bound)
@@ -415,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_exact)
 
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
-    pg.add_argument("family", choices=("regular-blocks", "chain", "attach",
-                                       "pendant-cycle", "random"))
+    pg.add_argument("family", choices=tuple(GENERATORS))
     pg.add_argument("--delta", type=int)
     pg.add_argument("--template-size", type=int)
     pg.add_argument("--blocks", type=int)
@@ -429,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="cross-check bounds, witness, exact")
     pv.add_argument("graph")
-    pv.add_argument("--delta-range", type=_parse_range, default=None)
+    pv.add_argument("--delta-range", type=_parse_range, default=())
     pv.add_argument("--exact-threshold", type=int, default=30,
                     help="run the exact solver when n is at most this")
     pv.add_argument("--budget", type=int, default=None)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import factorial, prod
 from typing import Union
 
@@ -61,6 +61,7 @@ def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     return _e_bounds(k)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class EulerLinear:
     """The exact real number a + b/e for rationals a, b.
@@ -167,24 +168,6 @@ class EulerLinear:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # -- rendering -----------------------------------------------------------
 

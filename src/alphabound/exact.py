@@ -86,27 +86,29 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             raise BudgetExceeded(budget, best_size, _mask_to_set(best_mask), nodes)
         mask, size, chosen = stack.pop()
         nodes += 1
-        # reduction: repeatedly take the lowest simplicial vertex
-        while mask:
-            picked = -1
+        # reduction: repeatedly take the lowest simplicial vertex.  A scan
+        # that finds none has seen every residual vertex, and its maximum
+        # residual degree (ties to the smallest index) names the branch vertex
+        while True:
+            picked = bv = bd = -1
             mm = mask
-            while mm:
+            while mm and picked < 0:
                 low = mm & -mm
                 v = low.bit_length() - 1
                 mm ^= low
                 cm = nbr[v] & mask
-                simplicial = True
+                d = cm.bit_count()
+                if d > bd:
+                    bv, bd = v, d
                 cc = cm
                 while cc:
                     ul = cc & -cc
                     u = ul.bit_length() - 1
                     cc ^= ul
                     if cm & ~(nbr[u] | ul):
-                        simplicial = False
                         break
-                if simplicial:
+                else:
                     picked = v
-                    break
             if picked < 0:
                 break
             bit = 1 << picked
@@ -120,16 +122,6 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             continue
         if size + cover_bound(mask) <= best_size:
             continue
-        # branch on a max-degree residual vertex, ties to the smallest index
-        bv, bd = -1, -1
-        mm = mask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            d = (nbr[v] & mask).bit_count()
-            if d > bd:
-                bv, bd = v, d
         bit = 1 << bv
         stack.append((mask & ~bit, size, chosen))
         stack.append((mask & ~(bit | nbr[bv]), size + 1, chosen | bit))

@@ -71,11 +71,8 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
         raise ValueError("circulant needs at least three vertices")
     if any(not 1 <= o <= n // 2 for o in offs):
         raise ValueError("offsets must lie in 1..n//2")
-    edges = set()
-    for i in range(n):
-        for o in offs:
-            edges.add((i, (i + o) % n))
-    return Graph(n, edges)
+    # Graph drops the repeated pairs of an offset n/2
+    return Graph(n, ((i, (i + o) % n) for i in range(n) for o in offs))
 
 
 def regular_template(delta: int, k: int) -> Graph:
@@ -136,8 +133,11 @@ def chain_blocks(delta: int, k: int) -> Graph:
         deg[v] += 1
     for a, b in combinations(range(delta), 2):
         add(a, b)
+    # degrees only grow, so the lowest vertex of degree delta-1 only moves up
+    x = 0
     for block in range(1, k):
-        x = next(v for v in range(block * delta) if deg[v] == delta - 1)
+        while deg[x] != delta - 1:
+            x += 1
         base = block * delta
         for a, b in combinations(range(base, base + delta), 2):
             add(a, b)

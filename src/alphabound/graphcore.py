@@ -160,7 +160,7 @@ def require_in_class(g: Graph, delta: Optional[int] = None) -> int:
         raise ValueError(f"not in class: maximum degree is {dmax}, expected {delta}")
     if not g.is_connected():
         raise ValueError("not in class: graph not connected")
-    if g.n == delta + 1 and g.m == delta * (delta + 1) // 2:
+    if g.is_complete():
         raise ValueError(
             f"not in class: graph is the complete graph on {g.n} vertices")
     return delta

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -63,7 +63,7 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
     if not verts:
         raise ValueError("empty vertex set")
     vset = set(verts)
-    if len(components_within(g, vset)) != 1:
+    if len(_bfs(g, verts[:1], vset)) != len(vset):
         raise ValueError("active set must induce a connected graph")
     nbr = g.neighbor_sets()
     deg = {v: len(nbr[v] & vset) for v in verts}
@@ -83,13 +83,13 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
                 parent[w] = v
                 queue.append(w)
     _check(target is not None, "search never reached the maximum degree class")
-    chain = [target]
-    while parent[chain[-1]] != -1:
-        chain.append(parent[chain[-1]])
-    u = chain[-1]
+    path = [target]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    u = path[-1]
     # the vertex after u on the path is not a minimum-degree vertex, or it
     # would itself have been a search source at distance zero
-    _check(deg[chain[-2]] > dmin, "peel path neighbor fails the degree condition")
+    _check(deg[path[-2]] > dmin, "peel path neighbor fails the degree condition")
     return u
 
 
@@ -322,7 +322,8 @@ def _find_split_triple(g: Graph, piece: Sequence[int]):
         for x, y in combinations(nbrs, 2):
             if g.has_edge(x, y):
                 continue
-            if len(components_within(g, pset - {x, y})) == 1:
+            rest = pset - {x, y}
+            if len(_bfs(g, (v,), rest)) == len(rest):
                 return v, x, y
     raise CertificationError("no split triple in a two-connected regular piece")
 
@@ -487,7 +488,15 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
         if not p and not x:
             out.append(tuple(sorted(r)))
             return
-        pivot = max(p | x, key=lambda t: (len(nbr[t] & p), -t))
+        # Tomita pivot, the most neighbours in p; no vertex can beat one of
+        # x that sees all of p or one of p that sees the rest of p
+        most = -1
+        for t in chain(x, p):
+            k = len(nbr[t] & p)
+            if k > most:
+                pivot, most = t, k
+                if k == len(p) - (t in p):
+                    break
         stack.append((r, p, x, iter(sorted(p - nbr[pivot]))))
 
     order = _degeneracy_order(g)

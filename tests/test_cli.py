@@ -92,6 +92,78 @@ def test_gen_missing_params(capsys):
     assert code == 2 and "chain needs" in err
 
 
+def run_to_exit(capsys, *argv):
+    """Like run, but also through argparse's own exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# sha256 of stdout for one member of every family, recorded before the
+# families were given one table in cli.py
+GEN_PINNED = {
+    ("regular-blocks", "--delta", "3", "--template-size", "4"):
+        "cfbab16bd2f2e169e10a91a2239920e7405cc95f0f957d13e2ce77de4ebb4460",
+    ("chain", "--delta", "3", "--blocks", "3"):
+        "f43f73e8fd48c10fd06d0c4cbee225b40e74f5d7e7a12b508624a226b7c3bdae",
+    ("attach", "--delta", "4", "--blocks", "3", "--clique", "2"):
+        "f0ff0ef0b0773df5cd0abe662a298c0d185aeb39a9313c2fd68e76d5e9bc3cb5",
+    ("pendant-cycle", "--cycle", "5"):
+        "802fbe0ca3e01f06c8f44e986e2ec40173f4e65a68bbb3732ec6e163318bebf0",
+    ("random", "--vertices", "12", "--delta", "4", "--seed", "3"):
+        "edc2309c9b9ff6aedc9f9d74f888be6de8ed02a0be3e6183decbd8c385defa8e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_PINNED))
+def test_gen_output_pinned(argv, capsys):
+    code, out, err = run_to_exit(capsys, "gen", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_PINNED[argv]
+
+
+# exit code and last stderr line of each refused invocation
+OPTION_ERRORS = {
+    ("gen", "regular-blocks", "--delta", "3"):
+        (2, "error: regular-blocks needs --delta and --template-size"),
+    ("gen", "chain", "--blocks", "3"):
+        (2, "error: chain needs --delta and --blocks"),
+    ("gen", "attach", "--delta", "4", "--blocks", "3"):
+        (2, "error: attach needs --delta, --blocks and --clique"),
+    ("gen", "pendant-cycle"):
+        (2, "error: pendant-cycle needs --cycle"),
+    ("gen", "random", "--delta", "4"):
+        (2, "error: random needs --vertices and --delta"),
+    ("bound", "missing.txt", "--delta-range", "7..5"):
+        (2, "alphabound bound: error: argument --delta-range: "
+            "invalid _parse_range value: '7..5'"),
+    ("verify", "missing.txt", "--delta-range", "a..b"):
+        (2, "alphabound verify: error: argument --delta-range: "
+            "invalid _parse_range value: 'a..b'"),
+    ("coeffs", "--delta", "4", "--format", "decimal:0"):
+        (2, "alphabound coeffs: error: argument --format: "
+            "digit count must be positive"),
+    ("coeffs", "--delta", "4", "--format", "decimal:x"):
+        (2, "alphabound coeffs: error: argument --format: "
+            "bad digit count in 'decimal:x'"),
+    ("coeffs", "--delta", "4", "--format", "hex"):
+        (2, "alphabound coeffs: error: argument --format: "
+            "unknown format 'hex'; use rational or decimal[:N]"),
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"):
+        (2, "error: not a rational number: 'x'"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OPTION_ERRORS))
+def test_option_errors_pinned(argv, capsys):
+    code, out, err = run_to_exit(capsys, *argv)
+    assert out == ""
+    assert (code, err.splitlines()[-1]) == OPTION_ERRORS[argv]
+
+
 def test_bound_table(tmp_path, capsys):
     path = gen_gstar(tmp_path, capsys)
     code, out, _ = run(capsys, "bound", path)

@@ -1,4 +1,5 @@
 import decimal
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -185,6 +186,33 @@ def test_euler_linear_comparisons():
     assert EulerLinear(1, -1) > F(632, 1000)
     assert EulerLinear(F(1, 2), 0) == F(1, 2)
     assert abs(EulerLinear(0, -1)) == one_over_e
+
+
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+EULER_VALUES = st.builds(EulerLinear, SMALL_RATIONALS,
+                         st.one_of(st.just(F(0)), SMALL_RATIONALS))
+# each operator and the signs of left - right for which it holds
+COMPARISONS = {operator.lt: {-1}, operator.le: {-1, 0}, operator.gt: {1},
+               operator.ge: {0, 1}, operator.eq: {0}, operator.ne: {-1, 1}}
+
+
+@given(EULER_VALUES, st.one_of(st.integers(-3, 3), SMALL_RATIONALS, EULER_VALUES))
+@settings(max_examples=200, deadline=None)
+def test_euler_linear_comparisons_follow_the_sign(x, y):
+    s = (x - y).sign()
+    for op, holds in COMPARISONS.items():
+        assert op(x, y) == (s in holds), (op, x, y)
+        assert op(y, x) == (-s in holds), (op, y, x)
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_euler_linear_refuses_to_order_a_str(op):
+    x = EulerLinear(1, -1)
+    with pytest.raises(TypeError):
+        op(x, "1")
+    with pytest.raises(TypeError):
+        op("1", x)
+    assert x != "1"
 
 
 def test_euler_linear_hash_agrees_with_fraction():

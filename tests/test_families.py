@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  cycle_with_pendants, path_graph,
                                  petersen_graph, random_connected,
                                  regular_blocks, regular_template, star_graph)
-from alphabound.graphcore import degree_profile, is_in_class, require_in_class
+from alphabound.graphcore import Graph, degree_profile, is_in_class, require_in_class
 
 
 def test_basic_generators():
@@ -95,6 +96,51 @@ def test_chain_blocks_profile(delta, k):
 
 def test_chain_single_block_is_complete():
     assert chain_blocks(4, 1) == complete_graph(4)
+
+
+# reference copies of the straightforward generators: chain_blocks
+# rescanning for the attachment vertex, circulant_graph collecting a pair set
+
+def reference_chain_blocks(delta, k):
+    edges = []
+    deg = [0] * (k * delta)
+    def add(u, v):
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    for a, b in combinations(range(delta), 2):
+        add(a, b)
+    for block in range(1, k):
+        x = next(v for v in range(block * delta) if deg[v] == delta - 1)
+        base = block * delta
+        for a, b in combinations(range(base, base + delta), 2):
+            add(a, b)
+        add(x, base)
+    return Graph(k * delta, edges)
+
+
+def reference_circulant_graph(n, offsets):
+    offs = sorted(set(offsets))
+    edges = set()
+    for i in range(n):
+        for o in offs:
+            edges.add((i, (i + o) % n))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("delta", range(3, 7))
+def test_chain_blocks_matches_reference(delta):
+    for k in range(1, 61):
+        assert chain_blocks(delta, k) == reference_chain_blocks(delta, k), k
+
+
+def test_circulant_graph_matches_reference():
+    for n in range(3, 81):
+        valid = range(1, n // 2 + 1)
+        for size in range(3):
+            for offs in combinations(valid, size):
+                assert circulant_graph(n, offs) == \
+                    reference_circulant_graph(n, offs), (n, offs)
 
 
 @pytest.mark.parametrize("delta,k,j", [(4, 2, 1), (4, 2, 2), (5, 3, 1),

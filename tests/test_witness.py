@@ -464,6 +464,34 @@ def test_maximal_cliques_match_networkx(seed):
     assert enumerate_maximal_cliques(Graph(n, edges)) == expected
 
 
+class CountingSet(frozenset):
+    """Neighbour set that counts the intersections it is the left side of."""
+    calls = 0
+
+    def __and__(self, other):
+        CountingSet.calls += 1
+        return frozenset.__and__(self, other)
+
+
+class CountingGraph(Graph):
+    def neighbor_sets(self):
+        if self._nbr is None:
+            self._nbr = tuple(map(CountingSet, self.adj))
+        return self._nbr
+
+
+def test_clique_pivot_stops_at_an_unbeatable_vertex(monkeypatch):
+    # two K_200 joined by one edge: choosing each pivot by intersecting the
+    # neighbour set of every member of p and x with p costs about k**3
+    g = chain_blocks(200, 2)
+    counted = CountingGraph(g.n, g.edges())
+    monkeypatch.setattr(CountingSet, "calls", 0)
+    cliques = enumerate_maximal_cliques(counted)
+    assert cliques == enumerate_maximal_cliques(g)
+    assert len(cliques) == 3
+    assert CountingSet.calls <= 1600
+
+
 def test_cliques_deterministic():
     g = petersen_graph()
     assert enumerate_maximal_cliques(g) == enumerate_maximal_cliques(g)
