@@ -73,7 +73,6 @@ def caro_wei_bound(g: Graph) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundReport:
-    graph_id: str
     delta_max: int
     brooks: Fraction
     weighted: Fraction                      # c_bound at the graph's own degree
@@ -84,8 +83,7 @@ class BoundReport:
     profile: DegreeProfile = None           # the degree classes behind every bound
 
 
-def bound_report(g: Graph, truncation_deltas: Iterable[int] = (),
-                 graph_id: str = "") -> BoundReport:
+def bound_report(g: Graph, truncation_deltas: Iterable[int] = ()) -> BoundReport:
     """Evaluate every applicable bound and name the largest.  The class
     check and the degree profile run once and feed every bound."""
     delta = require_in_class(g)
@@ -103,5 +101,5 @@ def bound_report(g: Graph, truncation_deltas: Iterable[int] = (),
     for label, value in candidates[1:]:
         if value > best_value:          # EulerLinear-aware exact comparison
             best_label, best_value = label, value
-    return BoundReport(graph_id, delta, brooks, weighted, truncated,
+    return BoundReport(delta, brooks, weighted, truncated,
                        euler, cw, best_label, prof)

@@ -29,9 +29,9 @@ from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
 from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
                        random_connected, regular_blocks, regular_template)
 # the per-layer benchmark patches degree_profile and require_in_class on this module
-from .graphcore import Graph, ParseError, degree_profile, load_graph, require_in_class, write_edge_list  # noqa: F401
-from .witness import (BaseStep, CertificationError, PeelStep,
-                      check_clique_weighting, clipped_weights, peel_witness)
+from .graphcore import Graph, degree_profile, load_graph, require_in_class, write_edge_list  # noqa: F401
+from .witness import (CertificationError, check_clique_weighting,
+                      clipped_weights, peel_witness)
 
 ENV_BUDGET = "ALPHABOUND_BUDGET"
 
@@ -158,28 +158,18 @@ def cmd_bound(args) -> int:
 # witness
 
 def _step_dict(step) -> dict:
-    if isinstance(step, PeelStep):
-        return {
-            "type": "peel",
-            "vertex": step.vertex,
-            "degree": step.degree,
-            "neighbors": list(step.neighbors),
-            "isolated": list(step.isolated),
-            "components": [list(c) for c in step.components],
-            "share": str(step.share),
-            "isolated_share": str(step.isolated_share),
-            "handoff_shares": [str(h) for h in step.handoff_shares],
-            "target": str(step.target),
-            "owed": str(step.owed),
-        }
-    assert isinstance(step, BaseStep)
-    return {
-        "type": step.kind,
-        "vertices": list(step.vertices),
-        "taken": list(step.taken),
-        "target": str(step.target),
-        "owed": str(step.owed),
-    }
+    """A trace record as written: its fields, with ``kind`` written as
+    ``type`` and a peel step typed ``"peel"``."""
+    fields = dict(vars(step))
+    fields["type"] = fields.pop("kind", "peel")
+    return fields
+
+
+def _json_default(value):
+    """Exact values are written as strings such as ``"7/8"``."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_witness(args) -> int:
@@ -196,7 +186,8 @@ def cmd_witness(args) -> int:
             # the top-level keys on the first line, then one step per line;
             # "steps" sorts after the other keys, so key order is unchanged
             fh.write(head[:-1] + ', "steps": [\n')
-            fh.write(",\n".join(json.dumps(_step_dict(s), sort_keys=True)
+            fh.write(",\n".join(json.dumps(_step_dict(s), sort_keys=True,
+                                            default=_json_default)
                                  for s in result.trace))
             fh.write("\n]}\n")
     if args.json:
@@ -440,7 +431,15 @@ def main(argv=None) -> int:
         digit_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: exit quietly, and let the flush at interpreter
+        # exit write what is left to the null device, not the closed pipe
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CertificationError as exc:
         print(f"error: certification failed: {exc}", file=sys.stderr)
         return 3
@@ -448,10 +447,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}; best found so far has size {exc.best_size}",
               file=sys.stderr)
         return 1
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:     # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -195,11 +195,6 @@ class EulerLinear:
         scaled = abs(scaled)
         return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"
 
-    def to_float(self) -> float:
-        """Approximate float value (convenience only; not certified)."""
-        import math
-        return float(self.a) + float(self.b) / math.e
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

@@ -177,7 +177,10 @@ def cycle_with_pendants(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 # random instances
 
-def random_connected(n: int, delta: int, seed: int, retries: int = 1000) -> Graph:
+_ATTEMPTS = 1000                # fresh tries before random_connected gives up
+
+
+def random_connected(n: int, delta: int, seed: int) -> Graph:
     """Seeded random connected graph with maximum degree exactly ``delta``,
     never the complete graph on delta+1 vertices.  Deterministic per seed."""
     if delta < 3:
@@ -186,7 +189,7 @@ def random_connected(n: int, delta: int, seed: int, retries: int = 1000) -> Grap
         raise ValueError("need n >= delta + 1")
     rng = random.Random(seed)
     max_m = n * delta // 2
-    for _ in range(retries):
+    for _ in range(_ATTEMPTS):
         deg = [0] * n
         edges: set[tuple[int, int]] = set()
 
@@ -233,4 +236,4 @@ def random_connected(n: int, delta: int, seed: int, retries: int = 1000) -> Grap
             return g
     raise ValueError(
         f"could not generate a connected graph with maximum degree {delta}"
-        f" on {n} vertices after {retries} attempts")
+        f" on {n} vertices after {_ATTEMPTS} attempts")

@@ -239,13 +239,6 @@ def _alternate_cycle(g: Graph, piece: Sequence[int]) -> set[int]:
 # ---------------------------------------------------------------------------
 # constructive Brooks coloring
 
-def _bfs_order(g: Graph, piece: Sequence[int], root: int) -> list[int]:
-    pset = set(piece)
-    order = list(_bfs(g, (root,), pset))
-    _check(len(order) == len(pset), "coloring piece is not connected")
-    return order
-
-
 def _first_free(used: set[int], palette: int) -> int:
     for c in range(palette):
         if c not in used:
@@ -262,7 +255,10 @@ def _greedy_from_root(g: Graph, piece: Sequence[int], root: int,
     # neighbor colors are in use; the root itself must see < palette
     # distinct neighbor colors for other reasons (fewer neighbors, or two
     # neighbors sharing a color)
-    for v in reversed(_bfs_order(g, piece, root)):
+    pset = set(piece)
+    order = list(_bfs(g, (root,), pset))
+    _check(len(order) == len(pset), "coloring piece is not connected")
+    for v in reversed(order):
         used = {colors[w] for w in g.adj[v] if w in colors}
         colors[v] = _first_free(used, palette)
     return colors
@@ -359,15 +355,7 @@ def _largest_class(colors: dict[int, int]) -> list[int]:
 def brooks_coloring(g: Graph) -> dict[int, int]:
     """Proper coloring with max_degree(g) colors (connected, max degree
     at least 3, not complete)."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("graph not connected")
-    dmax = g.max_degree()
-    if dmax < 3:
-        raise ValueError("coloring requires maximum degree >= 3")
-    if g.is_complete():
-        raise ValueError("coloring undefined for the complete graph")
+    dmax = require_in_class(g)
     low = next((v for v in range(g.n) if g.degree(v) < dmax), None)
     colors = (_color_regular(g, range(g.n), dmax) if low is None
               else _greedy_from_root(g, range(g.n), low, dmax, {}))

@@ -83,8 +83,7 @@ def test_bounds_require_class_membership():
 
 def test_bound_report_structure():
     g = cycle_with_pendants(10)
-    r = bound_report(g, truncation_deltas=(5, 6), graph_id="gstar10")
-    assert r.graph_id == "gstar10"
+    r = bound_report(g, truncation_deltas=(5, 6))
     assert r.delta_max == 4
     assert set(r.truncated) == {5, 6}
     assert r.weighted == F(75, 8)

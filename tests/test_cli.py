@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +12,11 @@ from alphabound import bounds, cli
 from alphabound.bounds import c_bound
 from alphabound.cli import _step_dict, main
 from alphabound.families import (attach_cliques, chain_blocks,
-                                 cycle_with_pendants, random_connected,
-                                 star_graph)
+                                 cycle_with_pendants, petersen_graph,
+                                 random_connected, star_graph)
 from alphabound.graphcore import Graph, degree_profile, load_graph, write_edge_list
-from alphabound.witness import CertificationError, peel_witness
+from alphabound.witness import (BaseStep, CertificationError, WitnessResult,
+                                peel_witness)
 
 
 def run(capsys, *argv):
@@ -278,7 +282,9 @@ def test_witness_trace_has_one_line_per_step(tmp_path, capsys):
         "graph": path,
         "independent_set": list(result.independent_set),
         "certified_bound": str(result.certified_bound),
-        "steps": [_step_dict(s) for s in result.trace],
+        # through the writer's encoding: tuples become lists, fractions strings
+        "steps": [json.loads(json.dumps(_step_dict(s), default=cli._json_default))
+                  for s in result.trace],
     }
     text = trace.read_text()
     assert json.loads(text) == expected
@@ -288,6 +294,35 @@ def test_witness_trace_has_one_line_per_step(tmp_path, capsys):
     assert lines[-1] == "]}"
     for line, step in zip(lines[1:-1], expected["steps"]):
         assert json.loads(line.rstrip(",")) == step
+
+
+def test_trace_step_keys_pinned(tmp_path, capsys):
+    # a leaf on a hub joined to a 6-cycle, a K4 and the Petersen graph: one
+    # peel step leaves one piece of each base kind
+    edges = [(0, 1), (1, 2), (1, 8), (1, 12)]
+    edges += [(2 + i, 2 + (i + 1) % 6) for i in range(6)]
+    edges += [(8 + a, 8 + b) for a in range(4) for b in range(a + 1, 4)]
+    edges += [(12 + u, 12 + w) for u, w in petersen_graph().edges()]
+    path = tmp_path / "mixed.txt"
+    path.write_text(write_edge_list(Graph(22, edges)))
+    trace = tmp_path / "trace.json"
+    assert run(capsys, "witness", str(path), "--trace", str(trace))[0] == 0
+    steps = json.loads(trace.read_text())["steps"]
+    assert [step["type"] for step in steps] == ["peel", "cycle", "complete", "coloring"]
+    base = {"type", "vertices", "taken", "target", "owed"}
+    assert {step["type"]: set(step) for step in steps} == {
+        "peel": {"type", "vertex", "degree", "neighbors", "isolated", "components",
+                 "share", "isolated_share", "handoff_shares", "target", "owed"},
+        "complete": base, "cycle": base, "coloring": base}
+
+
+def test_trace_refuses_values_json_cannot_write(tmp_path, capsys, monkeypatch):
+    path = gen_gstar(tmp_path, capsys)
+    step = BaseStep("complete", (0,), frozenset({0}), Fraction(1), Fraction(1))
+    monkeypatch.setattr(cli, "peel_witness",
+                        lambda g: WitnessResult((0,), Fraction(1), (step,)))
+    with pytest.raises(TypeError, match="type frozenset is not JSON serializable"):
+        main(["witness", path, "--trace", str(tmp_path / "trace.json")])
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of
@@ -332,6 +367,50 @@ def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: certification failed: weight accounting mismatch\n"
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["coeffs", "--delta", "4"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+CLI = [sys.executable, "-m", "alphabound.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+
+def test_closed_pipe_exits_quietly():
+    # 2.8 MB of output, so the writer is still writing when the reader
+    # closes, and stderr is read through interpreter exit
+    proc = subprocess.Popen([*CLI, "coeffs", "--delta", "1000"], env=CLI_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_closed_pipe_exits_quietly_with_buffered_stdout():
+    # a few bytes that sit in the buffer until the end, written to a pipe
+    # whose reader closed before the run began
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([*CLI, "coeffs", "--delta", "4"], env=env,
+                              stdout=write, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_witness_json(tmp_path, capsys):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphabound.families import circulant_graph, complete_graph
-from alphabound.graphcore import (Graph, ParseError, connected_components,
-                                  components_within, degree_profile,
-                                  is_in_class, load_graph, parse_dimacs,
-                                  parse_edge_list, parse_graph,
+from alphabound.graphcore import (Graph, ParseError, _bfs,
+                                  connected_components, components_within,
+                                  degree_profile, is_in_class, load_graph,
+                                  parse_dimacs, parse_edge_list, parse_graph,
                                   require_in_class, write_dimacs,
                                   write_edge_list)
-from alphabound.witness import CertificationError, _bfs_order
+from alphabound.witness import CertificationError, _greedy_from_root
 
 
 def small_graphs():
@@ -191,14 +191,14 @@ def test_breadth_first_users_match_networkx(case):
     assert connected_components(g, removed) == expected
     for comp in expected:
         root = max(comp)
-        order = _bfs_order(g, comp, root)
+        order = list(_bfs(g, (root,), comp))
         dist = nx.single_source_shortest_path_length(G.subgraph(comp), root)
         assert order[0] == root and set(order) == comp and len(order) == len(comp)
         assert [dist[v] for v in order] == sorted(dist[v] for v in order)
         assert all(set(g.adj[v]) & set(order[:i]) for i, v in enumerate(order) if i)
     if len(expected) > 1:
         with pytest.raises(CertificationError, match="not connected"):
-            _bfs_order(g, active, min(active))
+            _greedy_from_root(g, active, min(active), g.n, {})
 
 
 # --- parsing ----------------------------------------------------------------

@@ -244,13 +244,16 @@ def test_brooks_coloring_regular_with_cut_vertex():
 
 
 def test_brooks_coloring_validation():
-    with pytest.raises(ValueError, match="empty graph"):
+    with pytest.raises(ValueError, match="not in class: empty graph"):
         brooks_coloring(Graph(0))
-    with pytest.raises(ValueError, match="not connected"):
+    with pytest.raises(ValueError, match="not in class: maximum degree 1 < 3"):
         brooks_coloring(Graph(5, [(0, 1), (2, 3)]))
-    with pytest.raises(ValueError, match="maximum degree >= 3"):
+    # two disjoint stars K_{1,3}: maximum degree 3, so connectivity is reached
+    with pytest.raises(ValueError, match="not in class: graph not connected"):
+        brooks_coloring(Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]))
+    with pytest.raises(ValueError, match="not in class: maximum degree 2 < 3"):
         brooks_coloring(cycle_graph(5))
-    with pytest.raises(ValueError, match="complete"):
+    with pytest.raises(ValueError, match="not in class: graph is the complete graph"):
         brooks_coloring(complete_graph(5))
 
 
