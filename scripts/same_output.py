@@ -67,6 +67,8 @@ OTHER_INVOCATIONS = [
     ["coeffs", "--delta", "4", "--format", "decimal:x"],
     ["coeffs", "--delta", "4", "--format", "hex"],
     ["coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"],
+    ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/7"],
+    ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/2"],
     *[["coeffs", "--delta", "6", "--kind", kind, "--format", fmt]
       for kind in ("c", "d", "clipped") for fmt in ("rational", "decimal:20")],
     ["table", "--delta", "6"],

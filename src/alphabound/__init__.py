@@ -17,10 +17,10 @@ from .graphcore import (DegreeProfile, Graph, ParseError, connected_components,
                         components_within, degree_profile, is_in_class,
                         load_graph, parse_dimacs, parse_edge_list, parse_graph,
                         require_in_class, write_dimacs, write_edge_list)
-from .witness import (BaseStep, CertificationError, PeelStep, WeightAssignment,
-                      WeightCheck, WitnessResult, brooks_coloring,
-                      brooks_independent_set, c_weights, check_clique_weighting,
-                      clipped_weights, enumerate_maximal_cliques, peel_witness,
+from .witness import (BaseStep, CertificationError, PeelStep, WeightCheck,
+                      WitnessResult, brooks_coloring, brooks_independent_set,
+                      c_weights, check_clique_weighting, clipped_weights,
+                      enumerate_maximal_cliques, peel_witness,
                       select_peel_vertex)
 
 __version__ = "0.1.0"
@@ -28,10 +28,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseStep", "BoundReport", "BudgetExceeded", "CertificationError",
     "CoeffSequence", "DEFAULT_BUDGET", "DegreeProfile", "EulerLinear",
-    "ExactResult", "Graph", "ParseError", "PeelStep", "WeightAssignment",
-    "WeightCheck", "WitnessResult", "attach_cliques", "bound_report",
-    "brooks_bound", "brooks_coloring", "brooks_independent_set", "c_bound",
-    "c_explicit", "c_sequence", "c_weights", "caro_wei_bound", "chain_blocks",
+    "ExactResult", "Graph", "ParseError", "PeelStep", "WeightCheck",
+    "WitnessResult", "attach_cliques", "bound_report", "brooks_bound",
+    "brooks_coloring", "brooks_independent_set", "c_bound", "c_explicit",
+    "c_sequence", "c_weights", "caro_wei_bound", "chain_blocks",
     "check_clique_weighting", "circulant_graph", "clipped_sequence",
     "clipped_weights", "complete_graph", "connected_components",
     "components_within", "cycle_graph", "cycle_with_pendants", "d_bound",

@@ -80,8 +80,7 @@ def cmd_coeffs(args) -> int:
     elif args.kind == "d":
         seq = d_sequence(args.delta)
     else:
-        tail = _parse_fraction(args.c_delta) if args.c_delta else Fraction(2, 2 * args.delta + 1)
-        seq = clipped_sequence(args.delta, tail)
+        seq = clipped_sequence(args.delta, _parse_fraction(args.c_delta) if args.c_delta else None)
     fmt, digits = args.format
     if fmt == "rational":
         values = [str(v) for v in seq]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import factorial, prod
-from typing import Union
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -279,16 +279,16 @@ def c_explicit(i: int, delta: int) -> Fraction:
     return s
 
 
-def clipped_sequence(delta: int, c_delta: RationalLike) -> CoeffSequence:
+def clipped_sequence(delta: int, c_delta: Optional[RationalLike] = None) -> CoeffSequence:
     """Backward min-clip rule c_i = min{(1 - c_{i+1})/i, 2/(2i+1)}.
 
-    The tail value is a free parameter in (0, 2/(2*delta+1)]; every entry
-    then respects the per-vertex cap 2/(2i+1) and the sequence strictly
-    decreases.
+    The tail value is a free parameter in (0, 2/(2*delta+1)], by default
+    its upper end; every entry then respects the per-vertex cap 2/(2i+1)
+    and the sequence strictly decreases.
     """
     if delta < 3:
         raise ValueError("coefficients defined only for delta >= 3")
-    c_delta = Fraction(c_delta)
+    c_delta = Fraction(2, 2 * delta + 1) if c_delta is None else Fraction(c_delta)
     if not 0 < c_delta <= Fraction(2, 2 * delta + 1):
         raise ValueError(
             f"tail value must satisfy 0 < value <= 2/{2 * delta + 1}")

@@ -291,6 +291,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: bad header counts") from None
             if n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count")
+            if n > len(text):   # refuse before Graph allocates one list per vertex
+                raise ParseError(f"line {lineno}: more vertices than the file has characters")
         else:
             raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:

@@ -129,17 +129,21 @@ class WitnessResult:
 # ---------------------------------------------------------------------------
 # the peeling worklist
 
+def _ledger(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """Exact weights as integer multiples of 1/scale, scale the lcm of
+    their denominators: returns (scale, [v * scale for v in values])."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def peel_witness(g: Graph) -> WitnessResult:
     """Independent set at least as large as the degree-weighted bound,
     together with the step-by-step accounting that certifies it."""
     bound = c_bound(g)          # runs the class check
-    cs = c_sequence(g.max_degree())
     trace: list = []
-    # The ledger is kept in integer units of 1/scale, where scale is the lcm
-    # of the coefficient denominators: weight[d] = c_d * scale.  No vertex of
-    # a piece has degree 0, so weight[0] is never read.
-    scale = lcm(*(c.denominator for c in cs))
-    weight = [0, *(c.numerator * (scale // c.denominator) for c in cs)]
+    # weight[d] = c_d * scale on the integer ledger; no vertex of a piece
+    # has degree 0, so weight[0] is never read
+    scale, weight = _ledger([Fraction(0), *c_sequence(g.max_degree())])
     # deg[v] is v's degree inside its current piece.  A vertex stays alive
     # until a peel step deletes it; the alive neighbors of a piece vertex all
     # lie in the same piece, since pieces are components of the alive set.
@@ -378,20 +382,6 @@ def brooks_independent_set(g: Graph) -> tuple[int, ...]:
 # clique weightings
 
 @dataclass(frozen=True)
-class WeightAssignment:
-    weights: tuple[Fraction, ...]
-
-    def __getitem__(self, v: int) -> Fraction:
-        return self.weights[v]
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def total(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-
-@dataclass(frozen=True)
 class WeightCheck:
     ok: bool
     total: Fraction
@@ -399,43 +389,38 @@ class WeightCheck:
     violating_clique: Optional[tuple[int, ...]] = None
 
 
-def c_weights(g: Graph) -> WeightAssignment:
+def c_weights(g: Graph) -> tuple[Fraction, ...]:
     """Each vertex weighted by the coefficient for its degree."""
-    delta = require_in_class(g)
-    cs = c_sequence(delta)
-    return WeightAssignment(tuple(cs[g.degree(v)] for v in range(g.n)))
+    cs = c_sequence(require_in_class(g))
+    return tuple(cs[g.degree(v)] for v in range(g.n))
 
 
-def clipped_weights(g: Graph, c_delta: Optional[Fraction] = None) -> WeightAssignment:
+def clipped_weights(g: Graph) -> tuple[Fraction, ...]:
     """Like c_weights but from the min-clipped sequence, whose entries obey
     the per-vertex cap 2/(2i+1) by construction."""
-    delta = require_in_class(g)
-    if c_delta is None:
-        c_delta = Fraction(2, 2 * delta + 1)
-    cs = clipped_sequence(delta, c_delta)
-    return WeightAssignment(tuple(cs[g.degree(v)] for v in range(g.n)))
+    cs = clipped_sequence(require_in_class(g))
+    return tuple(cs[g.degree(v)] for v in range(g.n))
 
 
 def check_clique_weighting(g: Graph, weights) -> WeightCheck:
     """Test the two clique-weighting conditions: w(v) <= 2/(2 d(v)+1) at
     every vertex, and total weight at most 1 on every maximal clique.
     For nonnegative weights the maximal cliques suffice, since dropping
-    vertices never raises a clique's total."""
-    if isinstance(weights, WeightAssignment):
-        w = weights.weights
-    else:
-        w = tuple(Fraction(x) for x in weights)
+    vertices never raises a clique's total.  Any sequence of rationals
+    will do; both conditions are tested on the integer ledger."""
+    w = [Fraction(x) for x in weights]
     if len(w) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(w)}")
     for v, wv in enumerate(w):
         if wv < 0:
             raise ValueError(f"negative weight at vertex {v}")
-    total = sum(w, Fraction(0))
+    scale, w = _ledger(w)
+    total = Fraction(sum(w), scale)
     for v in range(g.n):
-        if w[v] > Fraction(2, 2 * g.degree(v) + 1):
+        if w[v] * (2 * g.degree(v) + 1) > 2 * scale:
             return WeightCheck(False, total, violating_vertex=v)
     for clique in enumerate_maximal_cliques(g):
-        if sum((w[v] for v in clique), Fraction(0)) > 1:
+        if sum([w[v] for v in clique]) > scale:
             return WeightCheck(False, total, violating_clique=clique)
     return WeightCheck(True, total)
 

@@ -548,3 +548,11 @@ def test_dimacs_input_accepted(tmp_path, capsys):
     path.write_text("c star\np edge 4 3\ne 1 2\ne 1 3\ne 1 4\n")
     code, out, _ = run(capsys, "bound", str(path))
     assert code == 0 and "7/3" in out
+
+
+def test_dimacs_header_count_beyond_file_refused(tmp_path, capsys):
+    path = tmp_path / "huge.col"
+    path.write_text("p edge 1000000000000 0\n")
+    code, out, err = run(capsys, "exact", str(path))
+    assert code == 2 and out == ""
+    assert str(path) in err and "line 1: more vertices than the file has characters" in err

@@ -103,6 +103,14 @@ def test_clipped_tail_validation():
     assert seq.kind == "clipped"
 
 
+def test_clipped_default_tail_is_the_cap():
+    for delta in range(3, 41):
+        assert clipped_sequence(delta) == clipped_sequence(delta, F(2, 2 * delta + 1))
+    with pytest.raises(ValueError) as info:
+        clipped_sequence(4, F(1, 4))
+    assert str(info.value) == "tail value must satisfy 0 < value <= 2/9"
+
+
 @given(st.integers(3, 40), st.integers(1, 1000))
 @settings(max_examples=60, deadline=None)
 def test_clipped_respects_cap_everywhere(delta, num):

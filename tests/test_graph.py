@@ -463,3 +463,25 @@ def test_parse_peak_memory():
         tracemalloc.stop()
     assert g.n == 40000 and g.m == 80000
     assert peak < 30e6
+
+
+@pytest.mark.parametrize("count", ["1" + "0" * 12, "9" * 4300],
+                         ids=["10^12", "4300-digits"])
+def test_dimacs_header_count_refused_before_allocation(count):
+    # a header may not promise more vertices than the file has characters;
+    # the refusal comes before Graph would build one list per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_dimacs(f"p edge {count} 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 1: more vertices than the file has characters"
+    assert peak < 1e6
+
+
+def test_dimacs_header_count_up_to_file_length():
+    assert parse_dimacs("p edge 12 0\n").n == 12          # 12 characters
+    with pytest.raises(ParseError, match="line 2: more vertices"):
+        parse_dimacs("c x\np edge 17 0\n")                 # 16 characters

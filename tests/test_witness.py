@@ -17,7 +17,7 @@ from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  regular_blocks, regular_template, star_graph)
 from alphabound.graphcore import Graph, components_within
 from alphabound.witness import (BaseStep, CertificationError, PeelStep,
-                                WeightAssignment, _degeneracy_order,
+                                WeightCheck, _degeneracy_order,
                                 _find_cut_vertex, brooks_coloring,
                                 brooks_independent_set, c_weights,
                                 check_clique_weighting, clipped_weights,
@@ -369,7 +369,7 @@ def test_c_weights_values():
     g = star_graph(3)
     w = c_weights(g)
     assert w[0] == F(1, 3) and w[1] == F(2, 3)
-    assert w.total() == F(7, 3)
+    assert sum(w) == F(7, 3)
     assert len(w) == 4
 
 
@@ -406,10 +406,74 @@ def test_check_clique_weighting_validation():
         check_clique_weighting(g, [F(0)])
 
 
-def test_weight_assignment_indexing():
-    w = WeightAssignment((F(1, 2), F(1, 3)))
-    assert w[1] == F(1, 3)
-    assert w.total() == F(5, 6)
+def fraction_clique_check(g, weights):
+    """The clique-weighting check as it ran on Fraction sums before the
+    integer ledger: the reference the ledger version must match."""
+    w = tuple(F(x) for x in weights)
+    if len(w) != g.n:
+        raise ValueError(f"expected {g.n} weights, got {len(w)}")
+    for v, wv in enumerate(w):
+        if wv < 0:
+            raise ValueError(f"negative weight at vertex {v}")
+    total = sum(w, F(0))
+    for v in range(g.n):
+        if w[v] > F(2, 2 * g.degree(v) + 1):
+            return WeightCheck(False, total, violating_vertex=v)
+    for clique in enumerate_maximal_cliques(g):
+        if sum((w[v] for v in clique), F(0)) > 1:
+            return WeightCheck(False, total, violating_clique=clique)
+    return WeightCheck(True, total)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A small random or complete graph with weights of every accepted
+    type, some exactly at a vertex cap or on a clique summing to exactly 1,
+    and now and then a negative weight or a wrong count."""
+    if draw(st.booleans()):
+        g = complete_graph(draw(st.integers(1, 6)))
+    else:
+        n = draw(st.integers(0, 8))
+        g = Graph(n, [e for e in combinations(range(n), 2) if draw(st.booleans())])
+    w = []
+    for v in range(g.n):
+        cap = F(2, 2 * g.degree(v) + 1)
+        w.append(draw(st.one_of(
+            st.fractions(0, 1, max_denominator=12),
+            st.builds(F, st.integers(0, 10**6), st.sampled_from([1000003, 2**61 - 1])),
+            st.integers(0, 1),
+            st.floats(0, 1),
+            st.builds("{}/{}".format, st.integers(0, 7), st.integers(1, 9)),
+            st.sampled_from([cap, str(cap)]))))
+    if g.n and draw(st.booleans()):
+        clique = draw(st.sampled_from(enumerate_maximal_cliques(g)))
+        rest = sum(F(w[v]) for v in clique[1:])
+        if rest <= 1:
+            w[clique[0]] = 1 - rest
+    mistake = draw(st.sampled_from([None] * 5 + ["negative", "short", "long"]))
+    if mistake == "negative" and g.n:
+        w[draw(st.integers(0, g.n - 1))] = draw(st.sampled_from([-1, F(-1, 7), -0.5, "-1/3"]))
+    elif mistake == "short" and g.n:
+        w.pop()
+    elif mistake == "long":
+        w.append(F(0))
+    return g, w
+
+
+def clique_check_outcome(check, g, w):
+    try:
+        res = check(g, w)
+    except ValueError as exc:
+        return str(exc)
+    return res.ok, res.total, res.violating_vertex, res.violating_clique
+
+
+@given(weighted_graphs())
+@settings(max_examples=300, deadline=None)
+def test_ledger_clique_check_matches_fraction_sums(case):
+    g, w = case
+    assert (clique_check_outcome(check_clique_weighting, g, w)
+            == clique_check_outcome(fraction_clique_check, g, w))
 
 
 # --- maximal cliques ---------------------------------------------------------
