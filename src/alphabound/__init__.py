@@ -13,10 +13,10 @@ from .families import (attach_cliques, chain_blocks, circulant_graph,
                        complete_graph, cycle_graph, cycle_with_pendants,
                        path_graph, petersen_graph, random_connected,
                        regular_blocks, regular_template, star_graph)
-from .graphcore import (DegreeProfile, Graph, ParseError, connected_components,
-                        components_within, degree_profile, is_in_class,
-                        load_graph, parse_dimacs, parse_edge_list, parse_graph,
-                        require_in_class, write_dimacs, write_edge_list)
+from .graphcore import (DegreeProfile, Graph, ParseError, components_within,
+                        degree_profile, is_in_class, load_graph, parse_dimacs,
+                        parse_edge_list, parse_graph, require_in_class,
+                        write_dimacs, write_edge_list)
 from .witness import (BaseStep, CertificationError, PeelStep, WeightCheck,
                       WitnessResult, brooks_coloring, brooks_independent_set,
                       c_weights, check_clique_weighting, clipped_weights,
@@ -33,9 +33,9 @@ __all__ = [
     "brooks_coloring", "brooks_independent_set", "c_bound", "c_explicit",
     "c_sequence", "c_weights", "caro_wei_bound", "chain_blocks",
     "check_clique_weighting", "circulant_graph", "clipped_sequence",
-    "clipped_weights", "complete_graph", "connected_components",
-    "components_within", "cycle_graph", "cycle_with_pendants", "d_bound",
-    "d_closed_form", "d_sequence", "degree_profile", "e_enclosure",
+    "clipped_weights", "complete_graph", "components_within",
+    "cycle_graph", "cycle_with_pendants", "d_bound", "d_closed_form",
+    "d_sequence", "degree_profile", "e_enclosure",
     "enumerate_maximal_cliques", "exact_alpha", "is_in_class",
     "is_independent", "load_graph", "naive_alpha", "parse_dimacs",
     "parse_edge_list", "parse_graph", "path_graph", "peel_witness",

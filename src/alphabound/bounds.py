@@ -8,7 +8,7 @@ delta+1 vertices, except the Caro-Wei baseline which applies universally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -73,14 +73,13 @@ def caro_wei_bound(g: Graph) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundReport:
-    delta_max: int
     brooks: Fraction
     weighted: Fraction                      # c_bound at the graph's own degree
-    truncated: dict = field(default_factory=dict)   # target degree -> value
-    euler: EulerLinear = None
-    caro_wei: Fraction = None
-    best: str = ""
-    profile: DegreeProfile = None           # the degree classes behind every bound
+    truncated: dict                         # target degree -> value
+    euler: EulerLinear
+    caro_wei: Fraction
+    best: str
+    profile: DegreeProfile                  # the degree classes behind every bound
 
 
 def bound_report(g: Graph, truncation_deltas: Iterable[int] = ()) -> BoundReport:
@@ -97,9 +96,6 @@ def bound_report(g: Graph, truncation_deltas: Iterable[int] = ()) -> BoundReport
     candidates = [("brooks", brooks), ("weighted", weighted)]
     candidates += [(f"truncated[{d}]", v) for d, v in sorted(truncated.items())]
     candidates += [("euler", euler), ("caro_wei", cw)]
-    best_label, best_value = candidates[0]
-    for label, value in candidates[1:]:
-        if value > best_value:          # EulerLinear-aware exact comparison
-            best_label, best_value = label, value
-    return BoundReport(delta, brooks, weighted, truncated,
-                       euler, cw, best_label, prof)
+    # the first of equal values wins; EulerLinear compares exactly
+    best = max(candidates, key=lambda c: c[1])[0]
+    return BoundReport(brooks, weighted, truncated, euler, cw, best, prof)

@@ -34,6 +34,7 @@ from .witness import (CertificationError, check_clique_weighting,
                       clipped_weights, peel_witness)
 
 ENV_BUDGET = "ALPHABOUND_BUDGET"
+MAX_RANGE = 1000        # values one --delta-range may name
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -53,6 +54,8 @@ def _parse_range(text: str) -> tuple[int, ...]:
         raise ValueError(f"not a range: {text!r} (expected A..B)")
     if a > b:
         raise ValueError(f"empty range: {text!r}")
+    if b - a >= MAX_RANGE:      # refuse before the tuple is built
+        raise ValueError(f"range too long: {text!r} (at most {MAX_RANGE} values)")
     return tuple(range(a, b + 1))
 
 
@@ -126,8 +129,8 @@ def _bound_rows(g: Graph, deltas: tuple[int, ...]):
 def cmd_bound(args) -> int:
     g = load_graph(args.graph)
     report, rows = _bound_rows(g, args.delta_range)
-    delta = report.delta_max
     profile = report.profile
+    delta = profile.delta_max
     if args.json:
         data = {
             "graph": args.graph,
@@ -274,35 +277,32 @@ def cmd_verify(args) -> int:
             f"graph is the complete graph on {g.n} vertices; bounds do not apply")
 
     checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, ok, detail))
-
     report, rows = _bound_rows(g, args.delta_range)
-    delta = report.delta_max
+    delta = report.profile.delta_max
 
     result = peel_witness(g)
     size = len(result.independent_set)
-    check("witness covers weighted bound",
-          Fraction(size) >= report.weighted,
-          f"{size} >= {report.weighted}")
+    checks.append(("witness covers weighted bound",
+                   Fraction(size) >= report.weighted,
+                   f"{size} >= {report.weighted}"))
 
     wcheck = check_clique_weighting(g, clipped_weights(g))
-    check("clipped weighting satisfies clique conditions", wcheck.ok,
-          f"total {wcheck.total}" if wcheck.ok else
-          (f"vertex {wcheck.violating_vertex} over cap"
-           if wcheck.violating_vertex is not None
-           else f"clique {wcheck.violating_clique} over 1"))
+    checks.append(("clipped weighting satisfies clique conditions", wcheck.ok,
+                   f"total {wcheck.total}" if wcheck.ok else
+                   (f"vertex {wcheck.violating_vertex} over cap"
+                    if wcheck.violating_vertex is not None
+                    else f"clique {wcheck.violating_clique} over 1")))
 
     alpha: Optional[int] = None
     if g.n <= args.exact_threshold:
         alpha = exact_alpha(g, budget=_budget(args)).alpha
         for name, value in rows:
-            check(f"{name} bound <= alpha", value <= alpha, f"{value} <= {alpha}")
-        check("witness size <= alpha", size <= alpha, f"{size} <= {alpha}")
+            checks.append((f"{name} bound <= alpha", value <= alpha,
+                           f"{value} <= {alpha}"))
+        checks.append(("witness size <= alpha", size <= alpha, f"{size} <= {alpha}"))
         if wcheck.ok:
-            check("weighting total <= alpha", wcheck.total <= alpha,
-                  f"{wcheck.total} <= {alpha}")
+            checks.append(("weighting total <= alpha", wcheck.total <= alpha,
+                           f"{wcheck.total} <= {alpha}"))
 
     ok_all = all(ok for _, ok, _ in checks)
     if args.json:

@@ -32,7 +32,7 @@ RationalLike = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
-def _e_partial(k: int) -> tuple[Fraction, Fraction]:
+def _e_partial(k: int) -> tuple[Fraction, int]:
     """(sum_{j<=k} 1/j!, k!) for the enclosure below."""
     s = Fraction(0)
     f = 1
@@ -40,14 +40,7 @@ def _e_partial(k: int) -> tuple[Fraction, Fraction]:
         if j:
             f *= j
         s += Fraction(1, f)
-    return s, Fraction(f)
-
-
-def _e_bounds(k: int) -> tuple[Fraction, Fraction]:
-    # s_k < e < s_k + 2/(k+1)!  (the tail is dominated by a geometric series
-    # with ratio 1/(k+2), so it is below 1/(k+1)! * (k+2)/(k+1) <= 2/(k+1)!)
-    s, f = _e_partial(k)
-    return s, s + Fraction(2, int(f) * (k + 1))
+    return s, f
 
 
 def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
@@ -58,7 +51,10 @@ def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     k = 1
     while Fraction(2, factorial(k + 1)) >= target:
         k += 1
-    return _e_bounds(k)
+    # s_k < e < s_k + 2/(k+1)!  (the tail is dominated by a geometric series
+    # with ratio 1/(k+2), so it is below 1/(k+1)! * (k+2)/(k+1) <= 2/(k+1)!)
+    s, f = _e_partial(k)
+    return s, s + Fraction(2, f * (k + 1))
 
 
 @total_ordering

@@ -2,8 +2,8 @@
 
 Vertices are dense integers 0..n-1.  Inputs whose labels are sparse or
 1-based are relabeled on ingestion and the original labels ride along on
-the graph for output.  Deletion is expressed through ``removed``/``active``
-vertex sets so that the peel and the searches never copy a graph.
+the graph for output.  Deletion is expressed through ``active`` vertex
+sets so that the peel and the searches never copy a graph.
 """
 
 from __future__ import annotations
@@ -56,18 +56,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def neighbor_sets(self) -> tuple[frozenset, ...]:
         """One neighbour frozenset per vertex, built on the first call.
         Hot loops fetch the tuple once and index it."""
         if self._nbr is None:
             self._nbr = tuple(map(frozenset, self.adj))
         return self._nbr
-
-    def neighbor_set(self, v: int) -> frozenset:
-        return self.neighbor_sets()[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbor_sets()[u]
@@ -117,9 +111,6 @@ class DegreeProfile:
         if 0 <= i <= self.delta_max:
             return self.counts[i]
         return 0
-
-    def sizes(self) -> tuple[int, ...]:
-        return self.counts
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
@@ -193,16 +184,6 @@ def components_within(g: Graph, active: frozenset) -> list[frozenset]:
             seen |= comp
             out.append(comp)
     return out
-
-
-def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[frozenset]:
-    """Components of g minus the ``removed`` vertices (size-1 sets are the
-    vertices isolated by the removal)."""
-    removed = frozenset(removed)
-    for v in removed:
-        if not 0 <= v < g.n:
-            raise ValueError(f"removed vertex {v} out of range")
-    return components_within(g, frozenset(range(g.n)) - removed)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_bounds_require_class_membership():
 def test_bound_report_structure():
     g = cycle_with_pendants(10)
     r = bound_report(g, truncation_deltas=(5, 6))
-    assert r.delta_max == 4
+    assert r.profile.delta_max == 4
     assert set(r.truncated) == {5, 6}
     assert r.weighted == F(75, 8)
     # 287/30 from the delta=5 truncation edges out the limit bound 18 - 23/e
@@ -123,7 +123,7 @@ def test_bound_report_checks_class_and_profile_once(monkeypatch):
 def test_bound_report_matches_public_bounds(delta, seed):
     g = random_connected(delta + 1 + seed % 30, delta, seed)
     r = bound_report(g, truncation_deltas=(delta + 3, delta + 1))
-    assert r.delta_max == delta
+    assert r.profile.delta_max == delta
     assert r.brooks == brooks_bound(g)
     assert r.weighted == c_bound(g)
     assert r.truncated == {d: truncated_c_bound(g, d)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,6 +145,9 @@ OPTION_ERRORS = {
     ("bound", "missing.txt", "--delta-range", "7..5"):
         (2, "alphabound bound: error: argument --delta-range: "
             "invalid _parse_range value: '7..5'"),
+    ("bound", "missing.txt", "--delta-range", "5..100000000000"):
+        (2, "alphabound bound: error: argument --delta-range: "
+            "invalid _parse_range value: '5..100000000000'"),
     ("verify", "missing.txt", "--delta-range", "a..b"):
         (2, "alphabound verify: error: argument --delta-range: "
             "invalid _parse_range value: 'a..b'"),
@@ -164,8 +168,22 @@ OPTION_ERRORS = {
 @pytest.mark.parametrize("argv", sorted(OPTION_ERRORS))
 def test_option_errors_pinned(argv, capsys):
     code, out, err = run_to_exit(capsys, *argv)
-    assert out == ""
+    assert out == "" and "Traceback" not in err
     assert (code, err.splitlines()[-1]) == OPTION_ERRORS[argv]
+
+
+def test_delta_range_limit():
+    assert len(cli._parse_range("5..1004")) == 1000
+    for text in ("5..1005", "5..100000000000"):
+        # refused before a tuple of the values is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 1000 values"):
+                cli._parse_range(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_bound_table(tmp_path, capsys):

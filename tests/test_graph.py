@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphabound.families import circulant_graph, complete_graph
-from alphabound.graphcore import (Graph, ParseError, _bfs,
-                                  connected_components, components_within,
+from alphabound.graphcore import (Graph, ParseError, _bfs, components_within,
                                   degree_profile, is_in_class, load_graph,
                                   parse_dimacs, parse_edge_list, parse_graph,
                                   require_in_class, write_dimacs,
@@ -31,7 +30,7 @@ def test_construction_and_adjacency():
     g = Graph(4, [(0, 1), (1, 0), (2, 3), (1, 3)])  # duplicate collapses
     assert g.n == 4 and g.m == 3
     assert g.adj[1] == (0, 3)
-    assert g.neighbors(3) == (1, 2)
+    assert g.adj[3] == (1, 2)
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
     assert list(g.edges()) == [(0, 1), (1, 3), (2, 3)]
     assert g.degree(1) == 2
@@ -77,7 +76,7 @@ def test_degree_profile_counts():
     assert p.delta_max == 3 and p.delta_min == 1
     assert p.count(1) == 3 and p.count(2) == 1 and p.count(3) == 1
     assert p.count(0) == 0 and p.count(99) == 0
-    assert sum(p.sizes()) == g.n
+    assert sum(p.counts) == g.n
 
 
 def test_degree_profile_empty():
@@ -155,12 +154,10 @@ def test_is_in_class_agrees_with_require_in_class(case):
 
 def test_components():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    comps = connected_components(g)
+    comps = components_within(g, frozenset(range(6)))
     assert comps == [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})]
-    assert connected_components(g, removed=[1]) == [
+    assert components_within(g, frozenset({0, 2, 3, 4, 5})) == [
         frozenset({0}), frozenset({2}), frozenset({3, 4}), frozenset({5})]
-    with pytest.raises(ValueError, match="out of range"):
-        connected_components(g, removed=[9])
     assert components_within(g, {0, 2, 3, 4}) == [
         frozenset({0}), frozenset({2}), frozenset({3, 4})]
 
@@ -187,8 +184,6 @@ def test_breadth_first_users_match_networkx(case):
     assert g.is_connected() == nx.is_connected(G)
     expected = sorted(map(frozenset, nx.connected_components(G.subgraph(active))), key=min)
     assert components_within(g, active) == expected
-    removed = set(range(g.n)) - active
-    assert connected_components(g, removed) == expected
     for comp in expected:
         root = max(comp)
         order = list(_bfs(g, (root,), comp))
@@ -275,14 +270,14 @@ def test_writers_roundtrip():
 @settings(max_examples=100, deadline=None)
 def test_profile_identities(g):
     p = degree_profile(g)
-    assert sum(p.sizes()) == g.n
+    assert sum(p.counts) == g.n
     assert sum(i * p.count(i) for i in range(p.delta_max + 1)) == 2 * g.m
 
 
 @given(small_graphs())
 @settings(max_examples=100, deadline=None)
 def test_components_partition(g):
-    comps = connected_components(g)
+    comps = components_within(g, frozenset(range(g.n)))
     seen = sorted(v for c in comps for v in c)
     assert seen == list(range(g.n))
     # no edges between different components
@@ -332,14 +327,14 @@ def test_build_matches_pair_set_reference(case):
     assert list(g.edges()) == sorted({(min(e), max(e)) for e in edges})
     assert g._nbr is None                      # nothing above built the sets
     for u in range(n):
-        assert g.neighbor_set(u) == frozenset(adj[u])
+        assert g.neighbor_sets()[u] == frozenset(adj[u])
         for v in range(n):
             assert g.has_edge(u, v) == (v in adj[u])
     counts = [0] * (max(map(len, adj)) + 1)
     for a in adj:
         counts[len(a)] += 1
     p = degree_profile(g)
-    assert p.counts == tuple(counts) == p.sizes()
+    assert p.counts == tuple(counts)
     assert (p.delta_max, p.delta_min) == (len(counts) - 1, min(map(len, adj)))
 
 
@@ -349,7 +344,7 @@ def test_neighbor_sets_built_once_on_first_use():
     assert not g.has_edge(0, 2)
     sets = g._nbr
     assert sets == (frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2}))
-    assert g.neighbor_set(1) is sets[1] and g.neighbor_sets() is sets
+    assert g.neighbor_sets() is sets
 
 
 # Every message below is the text the parsers and the constructor gave
