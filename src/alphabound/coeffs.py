@@ -43,6 +43,7 @@ def _e_partial(k: int) -> tuple[Fraction, int]:
     return s, f
 
 
+@lru_cache(maxsize=None)
 def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo < e < hi with hi - lo < 10**-digits."""
     if digits < 1:

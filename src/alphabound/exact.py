@@ -5,6 +5,14 @@ one exists (its closed neighborhood is a clique, so some maximum independent
 set contains it), prune with a greedy clique cover, and otherwise branch on
 a residual vertex of maximum degree, in-branch first.  Deterministic node
 counts; a node budget turns runaway instances into a clean error.
+
+Removing vertices can make a vertex simplicial only if one of its neighbours
+went, so each search node carries a mask of the residual vertices whose
+status is unknown; every other residual vertex is known not to be
+simplicial.  The reduction scans only that mask, and the lowest simplicial
+vertex is always in it.  One pass over the final residual then builds the
+cover, in which a vertex can only join a clique holding one of its
+neighbours, and names the branch vertex.
 """
 
 from __future__ import annotations
@@ -51,80 +59,94 @@ def _adjacency_masks(g: Graph) -> list[int]:
 
 
 def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
+    if budget < 1:
+        raise ValueError("budget must be positive")
     n = g.n
     if n == 0:
         return ExactResult(0, frozenset(), 0)
-    if budget < 1:
-        raise ValueError("budget must be positive")
     nbr = _adjacency_masks(g)
+    owner = [0] * n     # each vertex's clique in the current cover pass
 
     best_size = 0
     best_mask = 0
     nodes = 0
 
-    def cover_bound(mask: int) -> int:
-        # greedy clique cover: alpha takes at most one vertex per clique
-        cliques: list[int] = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            for idx, cm in enumerate(cliques):
-                if cm & ~nbr[v] == 0:       # v adjacent to every member
-                    cliques[idx] = cm | low
-                    break
-            else:
-                cliques.append(low)
-        return len(cliques)
+    def around(removed: int) -> int:
+        # the vertices whose simplicial status removing `removed` can change
+        out = 0
+        while removed:
+            low = removed & -removed
+            out |= nbr[low.bit_length() - 1]
+            removed ^= low
+        return out
 
-    # depth-first worklist of (mask, size, chosen); the in-branch is pushed
-    # last so it is searched first
-    stack = [((1 << n) - 1, 0, 0)]
+    # depth-first worklist of (mask, unknown, size, chosen); the in-branch
+    # is pushed last so it is searched first
+    full = (1 << n) - 1
+    stack = [(full, full, 0, 0)]
     while stack:
         if nodes >= budget:
             raise BudgetExceeded(budget, best_size, _mask_to_set(best_mask), nodes)
-        mask, size, chosen = stack.pop()
+        mask, unknown, size, chosen = stack.pop()
         nodes += 1
-        # reduction: repeatedly take the lowest simplicial vertex.  A scan
-        # that finds none has seen every residual vertex, and its maximum
-        # residual degree (ties to the smallest index) names the branch vertex
-        while True:
-            picked = bv = bd = -1
-            mm = mask
-            while mm and picked < 0:
-                low = mm & -mm
-                v = low.bit_length() - 1
-                mm ^= low
-                cm = nbr[v] & mask
-                d = cm.bit_count()
-                if d > bd:
-                    bv, bd = v, d
-                cc = cm
-                while cc:
-                    ul = cc & -cc
-                    u = ul.bit_length() - 1
-                    cc ^= ul
-                    if cm & ~(nbr[u] | ul):
-                        break
-                else:
-                    picked = v
-            if picked < 0:
-                break
-            bit = 1 << picked
-            size += 1
-            chosen |= bit
-            mask &= ~(bit | nbr[picked])
+        # reduction: repeatedly take the lowest simplicial vertex, which is
+        # the lowest simplicial one in `unknown`
+        while unknown:
+            low = unknown & -unknown
+            cm = nbr[low.bit_length() - 1] & mask
+            cc = cm
+            while cc:
+                ul = cc & -cc
+                cc ^= ul
+                if cm & ~(nbr[ul.bit_length() - 1] | ul):
+                    unknown ^= low          # not simplicial
+                    break
+            else:
+                size += 1
+                chosen |= low
+                mask ^= cm | low
+                unknown = (unknown | around(cm | low)) & mask
         if not mask:
             if size > best_size:
                 best_size = size
                 best_mask = chosen
             continue
-        if size + cover_bound(mask) <= best_size:
+        # greedy clique cover (alpha takes at most one vertex per clique): v
+        # joins the first clique, in creation order, inside N(v), and only
+        # the clique of a neighbour placed before v can be one.  The same
+        # pass names the branch vertex: maximum residual degree, ties to the
+        # smallest index
+        cliques: list[int] = []
+        bv = bd = -1
+        mm = mask
+        while mm:
+            low = mm & -mm
+            v = low.bit_length() - 1
+            mm ^= low
+            cm = nbr[v] & mask
+            d = cm.bit_count()
+            if d > bd:
+                bv, bd = v, d
+            first = len(cliques)
+            cc = cm & (low - 1)
+            while cc:
+                ul = cc & -cc
+                cc ^= ul
+                idx = owner[ul.bit_length() - 1]
+                if idx < first and not cliques[idx] & ~cm:
+                    first = idx
+            if first == len(cliques):
+                cliques.append(low)
+            else:
+                cliques[first] |= low
+            owner[v] = first
+        if size + len(cliques) <= best_size:
             continue
         bit = 1 << bv
-        stack.append((mask & ~bit, size, chosen))
-        stack.append((mask & ~(bit | nbr[bv]), size + 1, chosen | bit))
+        taken = (nbr[bv] & mask) | bit
+        stack.append((mask ^ bit, taken ^ bit, size, chosen))
+        stack.append((mask ^ taken, around(taken) & (mask ^ taken),
+                      size + 1, chosen | bit))
     return ExactResult(best_size, _mask_to_set(best_mask), nodes)
 
 
