@@ -79,7 +79,10 @@ OTHER_INVOCATIONS = [
 
 
 def tree_env(src: Path, *extra: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, *extra))))
+    # no __pycache__ in either tree: a cached tree starts every later run
+    # faster, which would fake or hide a start-up difference between them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, *extra))),
+               PYTHONDONTWRITEBYTECODE="1")
     env.pop("ALPHABOUND_BUDGET", None)
     return env
 

@@ -8,9 +8,8 @@ delta+1 vertices, except the Caro-Wei baseline which applies universally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .coeffs import EulerLinear, c_sequence, d_sequence
 from .graphcore import DegreeProfile, Graph, degree_profile, require_in_class
@@ -71,8 +70,7 @@ def caro_wei_bound(g: Graph) -> Fraction:
     return sum((Fraction(1, g.degree(v) + 1) for v in range(g.n)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     brooks: Fraction
     weighted: Fraction                      # c_bound at the graph's own degree
     truncated: dict                         # target degree -> value

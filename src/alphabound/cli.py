@@ -162,7 +162,7 @@ def cmd_bound(args) -> int:
 def _step_dict(step) -> dict:
     """A trace record as written: its fields, with ``kind`` written as
     ``type`` and a peel step typed ``"peel"``."""
-    fields = dict(vars(step))
+    fields = step._asdict()
     fields["type"] = fields.pop("kind", "peel")
     return fields
 

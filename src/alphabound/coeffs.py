@@ -22,7 +22,6 @@ built from partial sums of sum(1/k!), whose truncation error is bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import factorial, prod
@@ -58,10 +57,14 @@ def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     return s, s + Fraction(2, f * (k + 1))
 
 
+def _frozen(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes below."""
+    raise AttributeError(f"cannot change field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True)
 class EulerLinear:
-    """The exact real number a + b/e for rationals a, b.
+    """The exact real number a + b/e for rationals a, b.  Immutable.
 
     The representation is unique: a + b/e = a' + b'/e with rational entries
     forces (a, b) = (a', b') because e is irrational.  For the same reason a
@@ -69,12 +72,18 @@ class EulerLinear:
     terminates.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: RationalLike, b: RationalLike):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    def __repr__(self):
+        return f"EulerLinear(a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return EulerLinear, (self.a, self.b)
 
     # -- arithmetic (ring operations against rationals only) ---------------
 
@@ -208,17 +217,38 @@ def render_decimal(value, digits: int = 12) -> str:
     return EulerLinear(Fraction(value), Fraction(0)).decimal(digits)
 
 
-@dataclass(frozen=True)
 class CoeffSequence:
-    """1-indexed coefficient vector values[1..delta].
+    """1-indexed coefficient vector values[1..delta].  Immutable.
 
     ``kind`` is "c" (backward recursion), "clipped" (min-clip rule), or
     "d" (limiting sequence, EulerLinear entries).
     """
 
-    kind: str
-    delta: int
-    values: tuple
+    __slots__ = ("kind", "delta", "values")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, kind: str, delta: int, values: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "values", values)
+
+    def _key(self):
+        return self.kind, self.delta, self.values
+
+    def __repr__(self):
+        return (f"CoeffSequence(kind={self.kind!r}, delta={self.delta!r},"
+                f" values={self.values!r})")
+
+    def __reduce__(self):
+        return CoeffSequence, self._key()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __getitem__(self, i: int):
         if not 1 <= i <= self.delta:

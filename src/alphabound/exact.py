@@ -17,16 +17,14 @@ neighbours, and names the branch vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphcore import Graph
 
 DEFAULT_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     alpha: int
     optimal_set: frozenset
     nodes_explored: int

@@ -9,9 +9,8 @@ sets so that the peel and the searches never copy a graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -99,8 +98,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Vertex counts by degree: counts[i] is the number of vertices of degree i."""
 
     delta_max: int

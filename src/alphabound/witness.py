@@ -30,11 +30,10 @@ independence number.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import c_bound
 from .coeffs import c_sequence, clipped_sequence
@@ -96,8 +95,7 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
 # ---------------------------------------------------------------------------
 # trace records
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(NamedTuple):
     vertex: int
     degree: int
     neighbors: tuple[int, ...]
@@ -110,8 +108,7 @@ class PeelStep:
     owed: Fraction
 
 
-@dataclass(frozen=True)
-class BaseStep:
+class BaseStep(NamedTuple):
     kind: str                  # "complete" | "cycle" | "coloring"
     vertices: tuple[int, ...]
     taken: tuple[int, ...]
@@ -119,8 +116,7 @@ class BaseStep:
     owed: Fraction
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     independent_set: tuple[int, ...]
     certified_bound: Fraction
     trace: tuple
@@ -381,8 +377,7 @@ def brooks_independent_set(g: Graph) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # clique weightings
 
-@dataclass(frozen=True)
-class WeightCheck:
+class WeightCheck(NamedTuple):
     ok: bool
     total: Fraction
     violating_vertex: Optional[int] = None

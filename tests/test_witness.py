@@ -364,6 +364,25 @@ def test_cut_vertex_and_degeneracy_match_references(g, seed):
     assert _degeneracy_order(g) == scan_degeneracy_order(g)
 
 
+@pytest.mark.parametrize("g", [
+    *(random_connected(n, delta, seed) for n, delta, seed in
+      ((150, 3, 0), (300, 3, 1), (300, 4, 2), (200, 5, 3))),
+    chain_blocks(3, 60), chain_blocks(5, 40), chain_blocks(8, 30),
+    attach_cliques(4, 30, 2), attach_cliques(6, 20, 3),
+], ids=lambda g: f"n{g.n}m{g.m}")
+def test_cut_vertex_matches_networkx(g):
+    """Members of a few hundred vertices, above what the brute-force
+    reference can afford, and the pieces left after deleting vertices."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph(list(g.edges()))
+    rng = random.Random(g.n)
+    removed = set(rng.sample(range(g.n), g.n // 10))
+    pieces = [range(g.n), *map(sorted, components_within(g, frozenset(range(g.n)) - removed))]
+    for piece in pieces:
+        expected = min(nx.articulation_points(G.subgraph(piece)), default=None)
+        assert _find_cut_vertex(g, piece) == expected
+
+
 # --- clique weightings -------------------------------------------------------
 
 def test_c_weights_values():
