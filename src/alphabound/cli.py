@@ -33,7 +33,6 @@ from .graphcore import Graph, degree_profile, load_graph, require_in_class, writ
 from .witness import (CertificationError, check_clique_weighting,
                       clipped_weights, peel_witness)
 
-ENV_BUDGET = "ALPHABOUND_BUDGET"
 MAX_RANGE = 1000        # values one --delta-range may name
 
 
@@ -57,21 +56,6 @@ def _parse_range(text: str) -> tuple[int, ...]:
     if b - a >= MAX_RANGE:      # refuse before the tuple is built
         raise ValueError(f"range too long: {text!r} (at most {MAX_RANGE} values)")
     return tuple(range(a, b + 1))
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_BUDGET} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{ENV_BUDGET} must be positive")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +200,7 @@ def cmd_witness(args) -> int:
 
 def cmd_exact(args) -> int:
     g = load_graph(args.graph)
-    result = exact_alpha(g, budget=_budget(args))
+    result = exact_alpha(g, budget=args.budget)
     if args.json:
         print(json.dumps({
             "alpha": result.alpha,
@@ -268,14 +252,6 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("graph not connected")
-    if g.is_complete():
-        raise ValueError(
-            f"graph is the complete graph on {g.n} vertices; bounds do not apply")
-
     checks: list[tuple[str, bool, str]] = []
     report, rows = _bound_rows(g, args.delta_range)
     delta = report.profile.delta_max
@@ -295,7 +271,7 @@ def cmd_verify(args) -> int:
 
     alpha: Optional[int] = None
     if g.n <= args.exact_threshold:
-        alpha = exact_alpha(g, budget=_budget(args)).alpha
+        alpha = exact_alpha(g, budget=args.budget).alpha
         for name, value in rows:
             checks.append((f"{name} bound <= alpha", value <= alpha,
                            f"{value} <= {alpha}"))
@@ -384,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exact independence number")
     pe.add_argument("graph")
-    pe.add_argument("--budget", type=int, default=None,
-                    help=f"search node budget (default {ENV_BUDGET} or {DEFAULT_BUDGET})")
+    pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help=f"search node budget (default {DEFAULT_BUDGET})")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_exact)
 
@@ -406,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--delta-range", type=_parse_range, default=())
     pv.add_argument("--exact-threshold", type=int, default=30,
                     help="run the exact solver when n is at most this")
-    pv.add_argument("--budget", type=int, default=None)
+    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 

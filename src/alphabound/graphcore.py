@@ -1,16 +1,16 @@
 """Immutable simple graphs, degree classes, and graph file formats.
 
-Vertices are dense integers 0..n-1.  Inputs whose labels are sparse or
-1-based are relabeled on ingestion and the original labels ride along on
-the graph for output.  Deletion is expressed through ``active`` vertex
-sets so that the peel and the searches never copy a graph.
+Vertices are dense integers 0..n-1.  Inputs whose vertex numbers are sparse
+or 1-based are renumbered on ingestion, in increasing order.  Deletion is
+expressed through ``active`` vertex sets so that the peel and the searches
+never copy a graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 
 class ParseError(ValueError):
@@ -23,10 +23,9 @@ class Graph:
     ``adj`` is the one stored adjacency: a tuple of increasing neighbour
     tuples.  Neighbour frozensets are built on first use and kept."""
 
-    __slots__ = ("n", "m", "adj", "_nbr", "labels")
+    __slots__ = ("n", "m", "adj", "_nbr")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Optional[Sequence] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         lists: list[list[int]] = [[] for _ in range(n)]
@@ -45,12 +44,6 @@ class Graph:
         self.adj = tuple(lists)
         self.m = sum(map(len, self.adj)) // 2
         self._nbr = None
-        if labels is None:
-            self.labels = None
-        else:
-            if len(labels) != n:
-                raise ValueError("labels must cover every vertex")
-            self.labels = tuple(map(str, labels))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -83,11 +76,7 @@ class Graph:
     def is_complete(self) -> bool:
         return self.n >= 1 and self.m == self.n * (self.n - 1) // 2
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
     def __eq__(self, other) -> bool:
-        # structural equality; labels are presentation only
         return (isinstance(other, Graph)
                 and self.n == other.n and self.adj == other.adj)
 
@@ -200,8 +189,8 @@ def _too_long(tokens: list[str]) -> bool:
 def parse_edge_list(text: str) -> Graph:
     """Whitespace-separated ``u v`` lines; ``#`` starts a comment.
 
-    Vertex labels are nonnegative integers, not necessarily dense; they are
-    relabeled to 0..n-1 and the originals kept as ``labels``.
+    Vertex numbers are nonnegative integers, not necessarily dense; they are
+    renumbered to 0..n-1 in increasing order.
     """
     raw_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -225,11 +214,11 @@ def parse_edge_list(text: str) -> Graph:
         raw_edges.append((u, v))
     ids = set(chain.from_iterable(raw_edges))
     if not ids or max(ids) == len(ids) - 1:
-        # distinct nonnegative labels up to len-1 are already 0..n-1
+        # distinct nonnegative numbers up to len-1 are already 0..n-1
         return Graph(len(ids), raw_edges)
     ids = sorted(ids)
     index = {x: i for i, x in enumerate(ids)}
-    return Graph(len(ids), [(index[u], index[v]) for u, v in raw_edges], ids)
+    return Graph(len(ids), [(index[u], index[v]) for u, v in raw_edges])
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -276,8 +265,7 @@ def parse_dimacs(text: str) -> Graph:
             raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:
         raise ParseError("missing 'p edge' header")
-    # keep the customary 1-based names for output
-    return Graph(n, edges, labels=range(1, n + 1))
+    return Graph(n, edges)
 
 
 def parse_graph(text: str) -> Graph:
@@ -305,6 +293,12 @@ def load_graph(path) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; "?" stands in for it,
+        # and splitlines numbers its line as the parsers number theirs
+        head = exc.object[:exc.start].decode("utf-8") + "?"
+        line = len(head.splitlines())
+        raise ParseError(f"{path}: line {line}: not UTF-8 text") from None
     try:
         return parse_graph(text)
     except ParseError as exc:
@@ -317,7 +311,7 @@ def write_edge_list(g: Graph, header: Optional[str] = None) -> str:
     if header:
         lines.append(f"# {header}")
     for u, v in g.edges():
-        lines.append(f"{g.label_of(u)} {g.label_of(v)}")
+        lines.append(f"{u} {v}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -12,6 +12,7 @@ import pytest
 from alphabound import bounds, cli
 from alphabound.bounds import c_bound
 from alphabound.cli import _step_dict, main
+from alphabound.exact import DEFAULT_BUDGET
 from alphabound.families import (attach_cliques, chain_blocks,
                                  cycle_with_pendants, petersen_graph,
                                  random_connected, star_graph)
@@ -269,6 +270,19 @@ def test_bound_missing_file(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"0 1\n0 2\n0 3 \xff\n", 3),
+    (b"0 1\r\n0 2\r\n\xc3(\r\n", 3),        # CRLF, a cut two-byte sequence
+    (b"0 1\r0 2\r0 3\r1 \xe2\x82\n", 4),    # bare CR, a cut three-byte one
+    (b"\xff", 1),
+], ids=["lf", "crlf", "bare-cr", "one-byte"])
+def test_undecodable_input_names_file_and_line(data, line, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    assert run(capsys, "bound", str(path)) == (
+        2, "", f"error: {path}: line {line}: not UTF-8 text\n")
+
+
 def test_bound_out_of_class(tmp_path, capsys):
     path = tmp_path / "c8.txt"
     path.write_text("".join(f"{i} {(i + 1) % 8}\n" for i in range(8)))
@@ -459,15 +473,14 @@ def test_exact_budget_exceeded(tmp_path, capsys):
 
 
 def test_exact_budget_env(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "r40.txt"
-    run(capsys, "gen", "random", "--vertices", "40", "--delta", "6",
-        "--seed", "3", "-o", str(path))
-    monkeypatch.setenv("ALPHABOUND_BUDGET", "2")
-    code, _, err = run(capsys, "exact", str(path))
-    assert code == 1 and "budget exceeded" in err
-    monkeypatch.setenv("ALPHABOUND_BUDGET", "banana")
-    code, _, err = run(capsys, "exact", str(path))
-    assert code == 2 and "must be an integer" in err
+    # --budget is the one way to set the budget; the environment is not read
+    path = gen_gstar(tmp_path, capsys)
+    for value in ("2", "banana"):
+        monkeypatch.setenv("ALPHABOUND_BUDGET", value)
+        code, out, err = run(capsys, "exact", path)
+        assert (code, err) == (0, "") and out.startswith("alpha = 11\n")
+    for command in ("exact", "verify"):
+        assert cli.build_parser().parse_args([command, path]).budget == DEFAULT_BUDGET
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -493,46 +506,44 @@ def test_verify_complete_graph(tmp_path, capsys):
     path.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
-    assert "complete graph on 4 vertices; bounds do not apply" in err
+    assert "not in class: graph is the complete graph on 4 vertices" in err
 
 
 def test_verify_disconnected(tmp_path, capsys):
     path = tmp_path / "disc.txt"
-    path.write_text("0 1\n1 2\n3 4\n")
+    path.write_text(OUT_OF_CLASS["two-stars"][0])
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2
-    assert "graph not connected" in err
+    assert "not in class: graph not connected" in err
 
 
-def test_verify_makes_four_connectivity_passes(tmp_path, capsys, monkeypatch):
+def test_verify_makes_three_connectivity_passes(tmp_path, capsys, monkeypatch):
     path = gen_gstar(tmp_path, capsys)
     calls = []
     is_connected = Graph.is_connected
     monkeypatch.setattr(Graph, "is_connected", lambda g: calls.append(g) or is_connected(g))
     code, _, _ = run(capsys, "verify", path)
-    # its own pre-check, then the class checks of bound_report, c_bound
-    # (inside the peel) and clipped_weights
-    assert code == 0 and len(calls) == 4
+    # the class checks of bound_report, c_bound (inside the peel) and
+    # clipped_weights
+    assert code == 0 and len(calls) == 3
 
 
-# name: (file text, the class check's message, verify's own pre-check message)
+# name: (file text, the class check's message, which every command prints)
 OUT_OF_CLASS = {
-    "empty": ("", "not in class: empty graph", "empty graph"),
+    "empty": ("", "not in class: empty graph"),
     "k4": ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
-           "not in class: graph is the complete graph on 4 vertices",
-           "graph is the complete graph on 4 vertices; bounds do not apply"),
-    "disconnected": ("0 1\n1 2\n3 4\n", "not in class: maximum degree 2 < 3",
-                     "graph not connected"),
-    "p4": ("0 1\n1 2\n2 3\n", "not in class: maximum degree 2 < 3", None),
+           "not in class: graph is the complete graph on 4 vertices"),
+    "disconnected": ("0 1\n1 2\n3 4\n", "not in class: maximum degree 2 < 3"),
+    "p4": ("0 1\n1 2\n2 3\n", "not in class: maximum degree 2 < 3"),
+    "two-stars": ("0 1\n0 2\n0 3\n4 5\n4 6\n4 7\n",
+                  "not in class: graph not connected"),
 }
 
 
 @pytest.mark.parametrize("name", OUT_OF_CLASS)
 @pytest.mark.parametrize("command", ["verify", "bound", "witness"])
 def test_out_of_class_messages_pinned(command, name, tmp_path, capsys):
-    text, message, precheck = OUT_OF_CLASS[name]
-    if command == "verify" and precheck:
-        message = precheck
+    text, message = OUT_OF_CLASS[name]
     path = tmp_path / f"{name}.txt"
     path.write_text(text)
     assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n")

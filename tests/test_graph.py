@@ -45,15 +45,6 @@ def test_construction_validation():
         Graph(3, [(1, 1)])
 
 
-def test_labels():
-    g = Graph(2, [(0, 1)], labels=["a", "b"])
-    assert g.label_of(0) == "a"
-    with pytest.raises(ValueError):
-        Graph(2, [], labels=["only-one"])
-    # labels don't affect equality
-    assert g == Graph(2, [(0, 1)])
-
-
 def test_degree_extremes():
     g = Graph(3, [(0, 1)])
     assert g.max_degree() == 1
@@ -204,9 +195,10 @@ def test_parse_edge_list_basic():
 
 
 def test_parse_edge_list_sparse_labels():
-    g = parse_edge_list("10 20\n20 30\n")
+    g = parse_edge_list("30 10\n20 30\n")
     assert g.n == 3 and g.m == 2
-    assert [g.label_of(v) for v in range(3)] == ["10", "20", "30"]
+    # renumbered in increasing order: 10, 20, 30 become 0, 1, 2
+    assert g.adj == ((2,), (2,), (0, 1))
 
 
 def test_parse_edge_list_errors():
@@ -223,7 +215,7 @@ def test_parse_edge_list_errors():
 def test_parse_dimacs():
     g = parse_dimacs("c header\np edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
     assert g.n == 4 and g.m == 3
-    assert g.label_of(0) == "1"
+    assert g.adj[0] == (1,)             # DIMACS vertex k is vertex k-1
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -255,12 +247,14 @@ def test_load_graph_prefixes_path(tmp_path):
 
 
 def test_writers_roundtrip():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], labels=["a", "b", "c", "d"])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     out = write_edge_list(g, header="test")
-    assert out.startswith("# test\n")
-    # labels survive the trip
+    assert out == "# test\n0 1\n1 2\n2 3\n"
     g2 = parse_edge_list(write_edge_list(Graph(3, [(0, 2)])))
     assert g2.m == 1
+    # a parsed graph is written with its dense vertex numbers
+    assert write_edge_list(parse_edge_list("10 20\n20 30\n")) == "0 1\n1 2\n"
+    assert write_edge_list(parse_dimacs("p edge 3 1\ne 3 2\n")) == "1 2\n"
     d = write_dimacs(g)
     g3 = parse_dimacs(d)
     assert g3.n == g.n and g3.m == g.m and g3 == g
@@ -388,7 +382,6 @@ CONSTRUCTOR_MESSAGES = [
     ((3, [(1, 1)]), "self-loop at vertex 1"),
     ((3, [(1, 1), (0, 5)]), "self-loop at vertex 1"),
     ((3, [(0, 5), (1, 1)]), "edge (0, 5) out of range for n=3"),
-    ((2, [(0, 1)], ["a"]), "labels must cover every vertex"),
 ]
 
 
@@ -441,9 +434,9 @@ def test_long_numbers_refused_whatever_the_digit_limit(parse, text, message, lim
 
 def test_format_sniff_past_a_long_head():
     g = parse_graph("c note\n" * 2000 + "p edge 3 2\ne 1 2\ne 3 2\n")
-    assert g.adj == ((1,), (0, 2), (1,)) and g.labels == ("1", "2", "3")
+    assert g.adj == ((1,), (0, 2), (1,))
     g = parse_graph("#\n" * 5000 + "4 9\n9 2\n")
-    assert g.adj == ((2,), (2,), (0, 1)) and g.labels == ("2", "4", "9")
+    assert g.adj == ((2,), (2,), (0, 1))
 
 
 def test_parse_peak_memory():
