@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Mutation gate: break one guarded line at a time and check that the tests
+named beside it notice.
+
+    python3 scripts/mutants.py [NAME ...]
+
+Each mutant is a (file, old text, new text, tests) entry below.  It is
+applied to a fresh copy of ``src/`` and ``tests/`` in a temporary
+directory, never to the checkout, and its tests run there under pytest
+with a fixed hypothesis seed.  Before any mutant, the unmutated copy must
+pass every named test.
+
+A mutant is killed when one of its tests fails.  It survives if all of
+them pass; a run that breaks instead (an import error, a test id not
+found) is not a kill either.  Its old text must occur exactly once in its
+file.  If it does not, the guarded line has moved, and the entry must move
+with it.
+
+Names on the command line run only those mutants.  Prints one line per
+mutant and exits 1 unless every one is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CUT_VERTEX_TESTS = (
+    "tests/test_witness.py::test_cut_vertex_and_degeneracy_match_references",
+    "tests/test_witness.py::test_cut_vertex_matches_networkx",
+)
+
+MUTANTS = [
+    Mutant("cut-vertex-root", "src/alphabound/witness.py",
+           "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
+    Mutant("cut-vertex-lowpoint", "src/alphabound/witness.py",
+           "elif low[v] >= disc[p]:", "elif low[v] > disc[p]:", CUT_VERTEX_TESTS),
+    Mutant("split-triple-restore", "src/alphabound/witness.py",
+           "            alive.update((x, y))\n", "",
+           ("tests/test_numbering.py::test_brooks_and_peel_on_the_inner_first_ring",)),
+    Mutant("greedy-size-check", "src/alphabound/witness.py",
+           '_check(len(order) == size, "coloring piece is not connected")', "pass",
+           ("tests/test_graph.py::test_breadth_first_users_match_networkx",)),
+    Mutant("clique-weight-cap", "src/alphabound/witness.py",
+           "if w[v] * (2 * g.degree(v) + 1) > 2 * scale:",
+           "if w[v] * (2 * g.degree(v) + 1) >= 2 * scale:",
+           ("tests/test_witness.py::test_clipped_weights_pass_on_class_members",)),
+    Mutant("bfs-ignores-within", "src/alphabound/graphcore.py",
+           "if w not in parent and (within is None or w in within):",
+           "if w not in parent:",
+           ("tests/test_graph.py::test_breadth_first_users_match_networkx",)),
+    Mutant("number-underscore", "src/alphabound/graphcore.py",
+           "(token.isdigit() or",
+           '(token.replace("_", "").isdigit() or',
+           ("tests/test_graph.py::test_parse_error_messages_unchanged",)),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def run_tests(tree: Path, tests) -> int:
+    """pytest's exit code: 0 if every test passed, 1 if some failed, and
+    anything else if the run itself broke (a test id not found, an import
+    error)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    ).returncode
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        if run_tests(base, every_test) != 0:
+            print("the unmutated tree fails the named tests", file=sys.stderr)
+            return 1
+        bad = 0
+        for m in chosen:
+            tree = Path(tmp) / m.name
+            copy_tree(tree)
+            target = tree / m.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(m.old) != 1:
+                verdict = "no longer applies"
+            else:
+                target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+                code = run_tests(tree, m.tests)
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"broke the run (exit {code})")
+            bad += verdict != "killed"
+            print(f"{m.name}: {verdict}")
+            shutil.rmtree(tree)
+    print(f"{bad} of {len(chosen)} mutants not killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -182,8 +182,13 @@ def components_within(g: Graph, active: frozenset) -> list[frozenset]:
 _MAX_DIGITS = 4300
 
 
-def _too_long(tokens: list[str]) -> bool:
-    return max(map(len, tokens)) > _MAX_DIGITS
+def _number(token: str) -> int:
+    """The integer spelled by ASCII digits after an optional ``-``.  Unlike
+    ``int``, refuses ``1_0``, ``+3`` and non-ASCII digits with ValueError."""
+    if ((token.isdigit() or token[:1] == "-" and token[1:].isdigit())
+            and token.isascii() and len(token) <= _MAX_DIGITS):
+        return int(token)
+    raise ValueError(token)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -201,9 +206,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(
                 f"line {lineno}: expected two vertex tokens, got {len(tokens)}")
         try:
-            if len(line) > _MAX_DIGITS and _too_long(tokens):
-                raise ValueError
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _number(tokens[0]), _number(tokens[1])
         except ValueError:
             raise ParseError(
                 f"line {lineno}: vertex labels must be integers") from None
@@ -225,6 +228,7 @@ def parse_dimacs(text: str) -> Graph:
     """``p edge n m`` header and ``e u v`` lines, 1-based vertices."""
     n = None
     edges = []
+    lineno = 1                  # what a header-less file's message names
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens or tokens[0] == "c":
@@ -235,9 +239,7 @@ def parse_dimacs(text: str) -> Graph:
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: expected 'e u v'")
             try:
-                if len(line) > _MAX_DIGITS and _too_long(tokens):
-                    raise ValueError
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = _number(tokens[1]), _number(tokens[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: vertex labels must be integers") from None
             if not (1 <= u <= n and 1 <= v <= n):
@@ -251,10 +253,8 @@ def parse_dimacs(text: str) -> Graph:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge n m'")
             try:
-                if len(line) > _MAX_DIGITS and _too_long(tokens):
-                    raise ValueError
-                n = int(tokens[2])
-                int(tokens[3])
+                n = _number(tokens[2])
+                _number(tokens[3])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad header counts") from None
             if n < 0:
@@ -264,7 +264,7 @@ def parse_dimacs(text: str) -> Graph:
         else:
             raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:
-        raise ParseError("missing 'p edge' header")
+        raise ParseError(f"line {lineno}: missing 'p edge' header")
     return Graph(n, edges)
 
 

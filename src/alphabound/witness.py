@@ -33,7 +33,7 @@ import heapq
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import c_bound
 from .coeffs import c_sequence, clipped_sequence
@@ -58,10 +58,10 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
     neighbors has strictly larger degree: run a breadth-first search from
     all minimum-degree vertices at once and walk back from the nearest
     maximum-degree vertex.  The source that search lands on is the pick."""
-    verts = sorted(range(g.n) if active is None else set(active))
-    if not verts:
+    vset = set(range(g.n) if active is None else active)
+    if not vset:
         raise ValueError("empty vertex set")
-    vset = set(verts)
+    verts = sorted(vset)
     if len(_bfs(g, verts[:1], vset)) != len(vset):
         raise ValueError("active set must induce a connected graph")
     nbr = g.neighbor_sets()
@@ -141,10 +141,11 @@ def peel_witness(g: Graph) -> WitnessResult:
     # has degree 0, so weight[0] is never read
     scale, weight = _ledger([Fraction(0), *c_sequence(g.max_degree())])
     # deg[v] is v's degree inside its current piece.  A vertex stays alive
-    # until a peel step deletes it; the alive neighbors of a piece vertex all
-    # lie in the same piece, since pieces are components of the alive set.
+    # until a peel step deletes it.  Pieces are components of the alive set,
+    # so `w in alive` is the in-piece test for any neighbor w of a piece
+    # vertex; a base case may drop vertices of its own finished piece.
     deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
+    alive = set(range(g.n))
 
     chosen: set[int] = set()
     # the per-layer benchmark counts components_within calls made from "rec"
@@ -167,10 +168,10 @@ def peel_witness(g: Graph) -> WitnessResult:
         _check(owed <= target, "piece owed more than its own weight")
         if dmin == dmax:
             if dmin == 2:
-                taken = _alternate_cycle(g, piece)
+                taken = _alternate_cycle(g, piece, alive)
                 kind = "cycle"
             else:
-                taken = set(_largest_class(_color_regular(g, piece, dmin)))
+                taken = set(_largest_class(_color_regular(g, piece, dmin, alive)))
                 kind = "coloring"
             _check(len(taken) * scale >= target,
                    "regular base case fell short of its weight")
@@ -179,18 +180,17 @@ def peel_witness(g: Graph) -> WitnessResult:
             chosen.update(taken)
             return []
         u = select_peel_vertex(g, piece)
-        nbrs = tuple(w for w in g.adj[u] if alive[w])
+        nbrs = tuple(w for w in g.adj[u] if w in alive)
         share = weight[deg[u]] + sum([weight[deg[w]] for w in nbrs])
         _check(share <= scale, "peel share exceeds one")
         closed = (u, *nbrs)
-        for x in closed:
-            alive[x] = False
+        alive.difference_update(closed)
         # delete N[u]: only the surviving neighbors of deleted vertices lose
         # degree; keep their degrees in the parent piece for the handoffs
         before: dict[int, int] = {}
         for x in closed:
             for y in g.adj[x]:
-                if alive[y]:
+                if y in alive:
                     before.setdefault(y, deg[y])
                     deg[y] -= 1
         isolated = sorted(y for y in before if deg[y] == 0)
@@ -221,15 +221,12 @@ def peel_witness(g: Graph) -> WitnessResult:
     return WitnessResult(ind, bound, tuple(trace))
 
 
-def _alternate_cycle(g: Graph, piece: Sequence[int]) -> set[int]:
-    """Every other vertex of a cycle piece, floor(k/2) in all."""
-    pset = set(piece)
-    start = min(piece)
-    order = [start]
-    prev = None
-    cur = start
+def _alternate_cycle(g: Graph, piece: Sequence[int], alive: set[int]) -> set[int]:
+    """Every other vertex of a sorted cycle piece, floor(k/2) in all."""
+    prev, cur = None, piece[0]
+    order = [cur]
     for _ in range(len(piece) - 1):
-        nxt = min(w for w in g.adj[cur] if w in pset and w != prev)
+        nxt = next(w for w in g.adj[cur] if w in alive and w != prev)
         order.append(nxt)
         prev, cur = cur, nxt
     k = len(order)
@@ -246,33 +243,32 @@ def _first_free(used: set[int], palette: int) -> int:
     raise CertificationError("greedy coloring ran out of colors")
 
 
-def _greedy_from_root(g: Graph, piece: Sequence[int], root: int,
+def _greedy_from_root(g: Graph, root: int, within: AbstractSet[int], size: int,
                       palette: int, colors: dict[int, int]) -> dict[int, int]:
-    """Colour ``piece`` greedily into ``colors``, which holds only vertices
-    of the piece or precoloured vertices next to it, and return it."""
+    """Colour greedily into ``colors`` the ``size`` vertices that a search
+    from ``root`` through ``within`` must reach, and return it.  ``colors``
+    holds only those vertices or precoloured vertices next to them."""
     # reverse breadth-first order: every vertex except the root still has
     # its tree parent uncolored when its turn comes, so at most palette-1
     # neighbor colors are in use; the root itself must see < palette
     # distinct neighbor colors for other reasons (fewer neighbors, or two
     # neighbors sharing a color)
-    pset = set(piece)
-    order = list(_bfs(g, (root,), pset))
-    _check(len(order) == len(pset), "coloring piece is not connected")
+    order = list(_bfs(g, (root,), within))
+    _check(len(order) == size, "coloring piece is not connected")
     for v in reversed(order):
         used = {colors[w] for w in g.adj[v] if w in colors}
         colors[v] = _first_free(used, palette)
     return colors
 
 
-def _find_cut_vertex(g: Graph, piece: Sequence[int]) -> Optional[int]:
-    """Smallest cut vertex of the connected induced piece, or None.
+def _find_cut_vertex(g: Graph, piece: Sequence[int], alive: set[int]) -> Optional[int]:
+    """Smallest cut vertex of the connected sorted piece, or None.
 
     Hopcroft-Tarjan lowpoints from one depth-first search, run on an
     explicit stack so the depth does not grow with the piece: a non-root
     vertex is a cut vertex iff some child's subtree has no back edge above
     it, and the root iff it has two or more children."""
-    pset = set(piece)
-    root = min(pset)
+    root = piece[0]
     disc = {root: 0}            # discovery index
     low = {root: 0}             # lowest discovery index reachable by a back edge
     cuts = []
@@ -281,7 +277,7 @@ def _find_cut_vertex(g: Graph, piece: Sequence[int]) -> Optional[int]:
     while stack:
         v, nbrs = stack[-1]
         for w in nbrs:
-            if w not in pset:
+            if w not in alive:
                 continue
             if w in disc:
                 # includes the tree edge to v's parent, which cannot lower
@@ -302,46 +298,47 @@ def _find_cut_vertex(g: Graph, piece: Sequence[int]) -> Optional[int]:
                     root_children += 1
                 elif low[v] >= disc[p]:
                     cuts.append(p)
-    _check(len(disc) == len(pset), "coloring piece is not connected")
+    _check(len(disc) == len(piece), "coloring piece is not connected")
     if root_children > 1:
         cuts.append(root)
     return min(cuts, default=None)
 
 
-def _find_split_triple(g: Graph, piece: Sequence[int]):
-    """v adjacent to non-adjacent x and y whose removal keeps the piece
-    connected; exists in any two-connected regular non-complete graph of
-    degree >= 3."""
-    pset = set(piece)
-    for v in sorted(piece):
-        nbrs = sorted(w for w in g.adj[v] if w in pset)
+def _find_split_triple(g: Graph, piece: Sequence[int], alive: set[int]):
+    """v adjacent to non-adjacent x and y whose removal keeps the sorted
+    piece connected; exists in any two-connected regular non-complete graph
+    of degree >= 3.  Leaves x and y out of ``alive``."""
+    for v in piece:
+        nbrs = [w for w in g.adj[v] if w in alive]
         for x, y in combinations(nbrs, 2):
             if g.has_edge(x, y):
                 continue
-            rest = pset - {x, y}
-            if len(_bfs(g, (v,), rest)) == len(rest):
+            # a failed attempt costs only its search: no copy of the piece
+            alive.difference_update((x, y))
+            if len(_bfs(g, (v,), alive)) == len(piece) - 2:
                 return v, x, y
+            alive.update((x, y))
     raise CertificationError("no split triple in a two-connected regular piece")
 
 
-def _color_regular(g: Graph, piece: Sequence[int], d: int) -> dict[int, int]:
-    """Proper coloring with d colors of the connected induced piece, which
+def _color_regular(g: Graph, piece: Sequence[int], d: int,
+                   alive: set[int]) -> dict[int, int]:
+    """Proper coloring with d colors of the connected sorted piece, which
     is d-regular and not complete."""
     _check(d >= 3, "regular coloring base needs degree at least 3")
-    pieces = set(piece)
-    cut = _find_cut_vertex(g, piece)
+    cut = _find_cut_vertex(g, piece, alive)
     if cut is not None:
         colors: dict[int, int] = {}
-        for comp in components_within(g, pieces - {cut}):
-            sub = list(comp) + [cut]
-            part = _greedy_from_root(g, sub, cut, d, {})
+        for comp in components_within(g, set(piece) - {cut}):
+            # the search from the cut vertex through comp reaches both
+            part = _greedy_from_root(g, cut, comp, len(comp) + 1, d, {})
             # permute so the cut vertex is color 0 in every part, then glue
             swap = part[cut]
             for v, c in part.items():
                 colors[v] = 0 if c == swap else (swap if c == 0 else c)
         return colors
-    v, x, y = _find_split_triple(g, piece)
-    return _greedy_from_root(g, pieces - {x, y}, v, d, {x: 0, y: 0})
+    v, x, y = _find_split_triple(g, piece, alive)
+    return _greedy_from_root(g, v, alive, len(piece) - 2, d, {x: 0, y: 0})
 
 
 def _largest_class(colors: dict[int, int]) -> list[int]:
@@ -356,9 +353,10 @@ def brooks_coloring(g: Graph) -> dict[int, int]:
     """Proper coloring with max_degree(g) colors (connected, max degree
     at least 3, not complete)."""
     dmax = require_in_class(g)
+    alive = set(range(g.n))
     low = next((v for v in range(g.n) if g.degree(v) < dmax), None)
-    colors = (_color_regular(g, range(g.n), dmax) if low is None
-              else _greedy_from_root(g, range(g.n), low, dmax, {}))
+    colors = (_color_regular(g, range(g.n), dmax, alive) if low is None
+              else _greedy_from_root(g, low, alive, g.n, dmax, {}))
     for u, w in g.edges():
         _check(colors[u] != colors[w], "coloring is not proper")
     _check(max(colors.values()) < dmax, "coloring used too many colors")

@@ -585,3 +585,11 @@ def test_dimacs_header_count_beyond_file_refused(tmp_path, capsys):
     code, out, err = run(capsys, "exact", str(path))
     assert code == 2 and out == ""
     assert str(path) in err and "line 1: more vertices than the file has characters" in err
+
+
+def test_dimacs_without_header_names_a_line(tmp_path, capsys):
+    path = tmp_path / "comments.col"
+    path.write_text("c a comment\nc and another\nc and a third\n")
+    code, out, err = run(capsys, "bound", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line 3: missing 'p edge' header\n"

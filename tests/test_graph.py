@@ -184,7 +184,7 @@ def test_breadth_first_users_match_networkx(case):
         assert all(set(g.adj[v]) & set(order[:i]) for i, v in enumerate(order) if i)
     if len(expected) > 1:
         with pytest.raises(CertificationError, match="not connected"):
-            _greedy_from_root(g, active, min(active), g.n, {})
+            _greedy_from_root(g, min(active), active, len(active), g.n, {})
 
 
 # --- parsing ----------------------------------------------------------------
@@ -342,7 +342,9 @@ def test_neighbor_sets_built_once_on_first_use():
 
 
 # Every message below is the text the parsers and the constructor gave
-# before the adjacency build changed; line numbers included.
+# before the adjacency build changed; line numbers included.  The missing
+# DIMACS header now names the last line, and the cases from the empty file
+# on were added later.
 PARSE_MESSAGES = [
     (parse_edge_list, "0 1\n1 2 3\n", "line 2: expected two vertex tokens, got 3"),
     (parse_edge_list, "0 1\n\n  # note\n7\n", "line 4: expected two vertex tokens, got 1"),
@@ -365,7 +367,7 @@ PARSE_MESSAGES = [
     (parse_dimacs, "p col 3 3\n", "line 1: expected 'p edge n m'"),
     (parse_dimacs, "p edge 3\n", "line 1: expected 'p edge n m'"),
     (parse_dimacs, "p edge 3 1\nq 1 2\n", "line 2: unrecognized line type 'q'"),
-    (parse_dimacs, "c only a comment\n", "missing 'p edge' header"),
+    (parse_dimacs, "c only a comment\n", "line 1: missing 'p edge' header"),
     (parse_graph, "\n  # head\n\np edge 2 1\ne 1 3\n", "line 2: unrecognized line type '#'"),
     (parse_graph, "# head\n0 1\n1 1\n", "line 3: self-loop at 1"),
     # the format sniff reads past a long head of blank and comment lines
@@ -373,6 +375,18 @@ PARSE_MESSAGES = [
     (parse_graph, "#" + "x" * 9000 + "\r\n0 1\n1 1\n", "line 3: self-loop at 1"),
     # a line cut at the end of the sniffed prefix reads "e", in whole "ex 1"
     (parse_graph, "\n" * 4095 + "ex 1\n", "line 4096: vertex labels must be integers"),
+    (parse_dimacs, "", "line 1: missing 'p edge' header"),
+    (parse_graph, "c one\nc two\n\nc four\n", "line 4: missing 'p edge' header"),
+    # int() reads the first three as 10, 3 and 3, so a malformed file would
+    # be read as another graph; only ASCII digits after an optional minus
+    # sign are vertex numbers and header counts
+    *((parse, text.format(token), message)
+      for token in ("1_0", "+3", "\u0663", "\u00b3")
+      for parse, text, message in (
+          (parse_edge_list, "0 1\n1 {}\n", "line 2: vertex labels must be integers"),
+          (parse_dimacs, "p edge 3 1\ne 1 {}\n", "line 2: vertex labels must be integers"),
+          (parse_dimacs, "p edge {} 1\n", "line 1: bad header counts"),
+          (parse_dimacs, "p edge 3 {}\n", "line 1: bad header counts"))),
 ]
 
 CONSTRUCTOR_MESSAGES = [

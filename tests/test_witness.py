@@ -354,13 +354,15 @@ graphs_for_search = st.one_of(
 @given(graphs_for_search, st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
 def test_cut_vertex_and_degeneracy_match_references(g, seed):
-    assert _find_cut_vertex(g, range(g.n)) == brute_cut_vertex(g, range(g.n))
+    everything = set(range(g.n))
+    assert _find_cut_vertex(g, range(g.n), everything) == brute_cut_vertex(g, range(g.n))
     # induced pieces: the components left after deleting a few vertices
     rng = random.Random(seed)
     removed = set(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 4))))
-    for comp in components_within(g, frozenset(range(g.n)) - removed):
+    alive = everything - removed
+    for comp in components_within(g, alive):
         piece = sorted(comp)
-        assert _find_cut_vertex(g, piece) == brute_cut_vertex(g, piece)
+        assert _find_cut_vertex(g, piece, alive) == brute_cut_vertex(g, piece)
     assert _degeneracy_order(g) == scan_degeneracy_order(g)
 
 
@@ -377,10 +379,12 @@ def test_cut_vertex_matches_networkx(g):
     G = nx.Graph(list(g.edges()))
     rng = random.Random(g.n)
     removed = set(rng.sample(range(g.n), g.n // 10))
-    pieces = [range(g.n), *map(sorted, components_within(g, frozenset(range(g.n)) - removed))]
-    for piece in pieces:
+    alive = set(range(g.n)) - removed
+    pieces = [(range(g.n), set(range(g.n))),
+              *((sorted(c), alive) for c in components_within(g, alive))]
+    for piece, members in pieces:
         expected = min(nx.articulation_points(G.subgraph(piece)), default=None)
-        assert _find_cut_vertex(g, piece) == expected
+        assert _find_cut_vertex(g, piece, members) == expected
 
 
 # --- clique weightings -------------------------------------------------------
