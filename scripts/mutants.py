@@ -42,9 +42,13 @@ class Mutant(NamedTuple):
 
 
 CUT_VERTEX_TESTS = (
-    "tests/test_witness.py::test_cut_vertex_and_degeneracy_match_references",
+    "tests/test_witness.py::test_cut_vertex_matches_reference",
     "tests/test_witness.py::test_cut_vertex_matches_networkx",
 )
+
+CLIQUE_TESTS = ("tests/test_witness.py::test_maximal_cliques_match_brute_force",)
+
+SHARE_TESTS = ("tests/test_witness.py::test_witness_share_identity_exact",)
 
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
@@ -69,6 +73,18 @@ MUTANTS = [
            "(token.isdigit() or",
            '(token.replace("_", "").isdigit() or',
            ("tests/test_graph.py::test_parse_error_messages_unchanged",)),
+    Mutant("clique-x-not-grown", "src/alphabound/witness.py",
+           "        x.add(w)\n", "", CLIQUE_TESTS),
+    Mutant("clique-x-not-narrowed", "src/alphabound/witness.py",
+           "enter(r | {w}, p & nbr[w], x & nbr[w])",
+           "enter(r | {w}, p & nbr[w], set(x))", CLIQUE_TESTS),
+    Mutant("clique-empty-root", "src/alphabound/witness.py",
+           "if g.n:", "if True:",
+           ("tests/test_witness.py::test_maximal_cliques_known",)),
+    Mutant("handoff-current-degree", "src/alphabound/witness.py",
+           "weight[before.get(v, deg[v])]", "weight[deg[v]]", SHARE_TESTS),
+    Mutant("isolated-current-degree", "src/alphabound/witness.py",
+           "weight[before[y]]", "weight[deg[y]]", SHARE_TESTS),
 ]
 
 

@@ -21,10 +21,10 @@ def brooks_bound(g: Graph) -> Fraction:
     return Fraction(g.n, delta)
 
 
-def _c_sum(delta: int, prof: DegreeProfile, dprime: int) -> Fraction:
-    """sum c_i * |V_i| over i <= dprime, coefficients for degree delta."""
-    cs = c_sequence(delta)
-    return sum((cs[i] * prof.count(i) for i in range(1, dprime + 1)), Fraction(0))
+def _weighted_sum(seq, prof: DegreeProfile, upto: int):
+    """sum seq[i] * |V_i| over 1 <= i <= upto: a Fraction for a c-sequence,
+    an EulerLinear for the d-sequence (Fraction + EulerLinear is one)."""
+    return sum((seq[i] * prof.count(i) for i in range(1, upto + 1)), Fraction(0))
 
 
 def _truncated_sum(delta: int, prof: DegreeProfile, dprime: int) -> Fraction:
@@ -32,21 +32,13 @@ def _truncated_sum(delta: int, prof: DegreeProfile, dprime: int) -> Fraction:
         raise ValueError(
             f"truncation needs a coefficient degree above the graph's maximum"
             f" degree ({delta} <= {dprime})")
-    return _c_sum(delta, prof, dprime)
-
-
-def _d_sum(prof: DegreeProfile, dprime: int) -> EulerLinear:
-    ds = d_sequence(dprime)
-    total = EulerLinear(Fraction(0), Fraction(0))
-    for i in range(1, dprime + 1):
-        total = total + ds[i] * prof.count(i)
-    return total
+    return _weighted_sum(c_sequence(delta), prof, dprime)
 
 
 def c_bound(g: Graph) -> Fraction:
     """sum c_i * |V_i| with coefficients for the graph's own maximum degree."""
     delta = require_in_class(g)
-    return _c_sum(delta, degree_profile(g), delta)
+    return _weighted_sum(c_sequence(delta), degree_profile(g), delta)
 
 
 def truncated_c_bound(g: Graph, delta: int) -> Fraction:
@@ -62,7 +54,7 @@ def truncated_c_bound(g: Graph, delta: int) -> Fraction:
 def d_bound(g: Graph) -> EulerLinear:
     """sum d_i * |V_i| with the limiting coefficients, exact a + b/e."""
     dprime = require_in_class(g)
-    return _d_sum(degree_profile(g), dprime)
+    return _weighted_sum(d_sequence(dprime), degree_profile(g), dprime)
 
 
 def caro_wei_bound(g: Graph) -> Fraction:
@@ -86,10 +78,10 @@ def bound_report(g: Graph, truncation_deltas: Iterable[int] = ()) -> BoundReport
     delta = require_in_class(g)
     prof = degree_profile(g)
     brooks = Fraction(g.n, delta)
-    weighted = _c_sum(delta, prof, delta)
+    weighted = _weighted_sum(c_sequence(delta), prof, delta)
     truncated = {d: _truncated_sum(d, prof, delta)
                  for d in sorted(set(truncation_deltas))}
-    euler = _d_sum(prof, delta)
+    euler = _weighted_sum(d_sequence(delta), prof, delta)
     cw = sum((Fraction(prof.count(i), i + 1) for i in range(delta + 1)), Fraction(0))
     candidates = [("brooks", brooks), ("weighted", weighted)]
     candidates += [(f"truncated[{d}]", v) for d, v in sorted(truncated.items())]

@@ -186,17 +186,14 @@ class EulerLinear:
         if digits < 1:
             raise ValueError("digits must be at least 1")
         scale = 10 ** digits
-        if self.b == 0:
-            scaled = round(self.a * scale)
-        else:
-            prec = 20
-            while True:
-                lo, hi = self.interval(prec)
-                nlo, nhi = round(lo * scale), round(hi * scale)
-                if nlo == nhi:
-                    scaled = nlo
-                    break
-                prec *= 2
+        # a rational value's enclosure is (a, a), which settles at once
+        prec = 20
+        while True:
+            lo, hi = self.interval(prec)
+            scaled = round(lo * scale)
+            if scaled == round(hi * scale):
+                break
+            prec *= 2
         sign = "-" if scaled < 0 else ""
         scaled = abs(scaled)
         return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"

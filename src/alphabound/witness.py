@@ -29,7 +29,6 @@ independence number.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm
@@ -418,33 +417,11 @@ def check_clique_weighting(g: Graph, weights) -> WeightCheck:
     return WeightCheck(True, total)
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    """Repeatedly remove the live vertex of least (degree, index).
-
-    A heap holds (degree, vertex) entries.  A degree drop pushes a fresh
-    entry and leaves the old one in place: the fresh one sorts first, so a
-    vertex's first entry to pop is current and the rest pop once it is dead."""
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)[1]
-        if not alive[v]:
-            continue
-        order.append(v)
-        alive[v] = False
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order
-
-
 def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All maximal cliques, each exactly once, in a deterministic order.
-    Bron-Kerbosch with pivoting over a degeneracy ordering."""
+    """All maximal cliques, each exactly once, in sorted order.
+    One Bron-Kerbosch search with the Tomita pivot, started at the root:
+    each child of the root branches on a set of at most max-degree
+    neighbours, so bounded degree needs no degeneracy ordering."""
     out: list[tuple[int, ...]] = []
     nbr = g.neighbor_sets()
     # depth-first worklist of (r, p, x, candidates left to branch on)
@@ -465,20 +442,17 @@ def enumerate_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
                     break
         stack.append((r, p, x, iter(sorted(p - nbr[pivot]))))
 
-    order = _degeneracy_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in g.adj[v] if pos[w] > pos[v]}
-        earlier = {w for w in g.adj[v] if pos[w] < pos[v]}
-        enter({v}, later, earlier)
-        while stack:
-            r, p, x, todo = stack[-1]
-            w = next(todo, None)
-            if w is None:
-                stack.pop()
-                continue
-            # the child gets its own sets, built before w moves from p to x
-            enter(r | {w}, p & nbr[w], x & nbr[w])
-            p.remove(w)
-            x.add(w)
+    # the root would report the empty clique of a graph with no vertices
+    if g.n:
+        enter(set(), set(range(g.n)), set())
+    while stack:
+        r, p, x, todo = stack[-1]
+        w = next(todo, None)
+        if w is None:
+            stack.pop()
+            continue
+        # the child gets its own sets, built before w moves from p to x
+        enter(r | {w}, p & nbr[w], x & nbr[w])
+        p.remove(w)
+        x.add(w)
     return sorted(out)

@@ -1,18 +1,26 @@
 """Results that are graph invariants do not depend on the vertex numbering,
-and the Brooks colouring's cost does not either."""
+and neither do the costs of the Brooks colouring and of clique enumeration."""
 
+import io
+import json
+import random
+import tempfile
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_witness import CountingGraph, CountingSet
 
+from alphabound import cli
 from alphabound.bounds import bound_report, c_bound
 from alphabound.exact import exact_alpha, is_independent
 from alphabound.families import (chain_blocks, circulant_graph,
                                  cycle_with_pendants, petersen_graph,
                                  random_connected, regular_blocks,
                                  regular_template)
-from alphabound.graphcore import Graph, components_within
+from alphabound.graphcore import Graph, components_within, write_dimacs
 from alphabound.witness import (brooks_coloring, enumerate_maximal_cliques,
                                 peel_witness)
 
@@ -105,3 +113,50 @@ def test_invariants_survive_relabelling(case):
     assert max(colors.values()) < h.max_degree()
     assert ({frozenset(perm[v] for v in c) for c in enumerate_maximal_cliques(g)}
             == set(map(frozenset, enumerate_maximal_cliques(h))))
+
+
+def _verify_json(g: Graph) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.dimacs"
+        path.write_text(write_dimacs(g), encoding="ascii")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli.main(["verify", str(path), "--json"])
+    return json.loads(out.getvalue())
+
+
+def _verdict(report: dict):
+    # the witness size is left out: which set the peel finds depends on
+    # the numbering, since ties go to the smaller index
+    checks = report["checks"]
+    clique = next(c["detail"] for c in checks if c["name"].startswith("clipped weighting"))
+    return report["ok"], report["alpha"], [c["name"] for c in checks], clique
+
+
+@given(relabelled())
+@settings(max_examples=100, deadline=None)
+def test_verify_verdict_survives_relabelling(case):
+    g, _, h = case
+    verdict = _verdict(_verify_json(g))
+    assert verdict[0] is True and verdict[3].startswith("total ")
+    assert _verdict(_verify_json(h)) == verdict
+
+
+def _pivot_intersections(g: Graph) -> int:
+    counted = CountingGraph(g.n, g.edges())
+    before = CountingSet.calls
+    enumerate_maximal_cliques(counted)
+    return CountingSet.calls - before
+
+
+def test_clique_cost_does_not_depend_on_the_numbering():
+    # the search starts at the root, so no vertex order is built from the
+    # numbering; each top-level branch costs about its degree either way
+    for g in (circulant_graph(2000, [1, 2]),
+              regular_blocks(4, regular_template(4, 200))):
+        natural = _pivot_intersections(g)
+        for seed in range(5):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert _pivot_intersections(h) <= 2 * natural

@@ -17,12 +17,11 @@ from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  regular_blocks, regular_template, star_graph)
 from alphabound.graphcore import Graph, components_within
 from alphabound.witness import (BaseStep, CertificationError, PeelStep,
-                                WeightCheck, _degeneracy_order,
-                                _find_cut_vertex, brooks_coloring,
-                                brooks_independent_set, c_weights,
-                                check_clique_weighting, clipped_weights,
-                                enumerate_maximal_cliques, peel_witness,
-                                select_peel_vertex)
+                                WeightCheck, _find_cut_vertex,
+                                brooks_coloring, brooks_independent_set,
+                                c_weights, check_clique_weighting,
+                                clipped_weights, enumerate_maximal_cliques,
+                                peel_witness, select_peel_vertex)
 
 
 # --- peel vertex selection ---------------------------------------------------
@@ -322,21 +321,6 @@ def brute_cut_vertex(g, piece):
     return None
 
 
-def scan_degeneracy_order(g):
-    # the reference: a min over every live vertex at each step
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    order = []
-    while alive:
-        v = min(alive, key=lambda t: (deg[t], t))
-        order.append(v)
-        alive.remove(v)
-        for w in g.adj[v]:
-            if w in alive:
-                deg[w] -= 1
-    return order
-
-
 def _regular_member(delta, k):
     k += (k * delta) % 2        # an odd degree needs an even template
     return regular_blocks(delta, regular_template(delta, k))
@@ -353,7 +337,7 @@ graphs_for_search = st.one_of(
 
 @given(graphs_for_search, st.integers(0, 10_000))
 @settings(max_examples=120, deadline=None)
-def test_cut_vertex_and_degeneracy_match_references(g, seed):
+def test_cut_vertex_matches_reference(g, seed):
     everything = set(range(g.n))
     assert _find_cut_vertex(g, range(g.n), everything) == brute_cut_vertex(g, range(g.n))
     # induced pieces: the components left after deleting a few vertices
@@ -363,7 +347,6 @@ def test_cut_vertex_and_degeneracy_match_references(g, seed):
     for comp in components_within(g, alive):
         piece = sorted(comp)
         assert _find_cut_vertex(g, piece, alive) == brute_cut_vertex(g, piece)
-    assert _degeneracy_order(g) == scan_degeneracy_order(g)
 
 
 @pytest.mark.parametrize("g", [
