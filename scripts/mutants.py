@@ -85,6 +85,15 @@ MUTANTS = [
            "weight[before.get(v, deg[v])]", "weight[deg[v]]", SHARE_TESTS),
     Mutant("isolated-current-degree", "src/alphabound/witness.py",
            "weight[before[y]]", "weight[deg[y]]", SHARE_TESTS),
+    Mutant("chain-first-vertex-free", "src/alphabound/families.py",
+           "v == 0 or v % delta", "v % delta",
+           ("tests/test_families.py::test_chain_blocks_matches_reference",)),
+    Mutant("e-enclosure-start", "src/alphabound/coeffs.py",
+           "k, f, s = 1, 1, Fraction(2)", "k, f, s = 1, 1, Fraction(1)",
+           ("tests/test_coeffs.py::test_e_enclosure_contains_e",)),
+    Mutant("class-degree-at-least", "src/alphabound/graphcore.py",
+           "return require_in_class(g) == delta", "return require_in_class(g) >= delta",
+           ("tests/test_graph.py::test_is_in_class_matches_networkx",)),
 ]
 
 

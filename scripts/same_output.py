@@ -9,7 +9,8 @@ the four benchmark workloads with ``perfbench/corpus.py`` and its own
 ``alphabound.families``, and the two sets of files must be byte-identical.
 Every job then runs as ``python -m alphabound.cli`` under both trees, on the
 same files, and the exit code, stdout, stderr and the sha256 of the
-``--trace`` file are compared.  A fixed list of invocations outside the
+``--trace`` file are compared; a run still going after five minutes
+is stopped and counts as differing.  A fixed list of invocations outside the
 workloads (``gen`` for every family, refused options, ``coeffs``, ``table``
 and every ``--help``) is compared the same way.  Prints the number of
 differing jobs and invocations and exits 1 if any of them or any corpus
@@ -78,6 +79,9 @@ OTHER_INVOCATIONS = [
 ]
 
 
+TIMEOUT_S = 300         # one CLI run is stopped after this many seconds
+
+
 def tree_env(src: Path, *extra: Path) -> dict:
     # no __pycache__ in either tree: a cached tree starts every later run
     # faster, which would fake or hide a start-up difference between them
@@ -93,19 +97,25 @@ def build_corpora(src: Path, seed: int, out: Path) -> dict:
 
 
 def run_job(src: Path, argv: list[str], trace: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-m", "alphabound.cli", *argv],
-                          env=tree_env(src), capture_output=True)
-    digest = None
+    try:
+        proc = subprocess.run([sys.executable, "-m", "alphabound.cli", *argv],
+                              env=tree_env(src), capture_output=True, timeout=TIMEOUT_S)
+        result = {"exit code": proc.returncode, "stdout": proc.stdout,
+                  "stderr": proc.stderr}
+    except subprocess.TimeoutExpired:
+        result = {"time": f"over {TIMEOUT_S} s"}
+    result["trace sha256"] = None
     if trace.exists():
-        digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+        result["trace sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest()
         trace.unlink()
-    return {"exit code": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr, "trace sha256": digest}
+    return result
 
 
 def differing_fields(trees: dict, argv: list[str], trace: Path) -> list[str]:
     parent, change = (run_job(src, argv, trace) for src in trees.values())
-    return [f for f in parent if parent[f] != change[f]]
+    # a run that timed out differs, even from another that timed out
+    return [f for f in {**parent, **change}
+            if f == "time" or parent.get(f) != change.get(f)]
 
 
 def main(argv=None) -> int:

@@ -34,6 +34,8 @@ from .witness import (CertificationError, check_clique_weighting,
                       clipped_weights, peel_witness)
 
 MAX_RANGE = 1000        # values one --delta-range may name
+MAX_DELTA = 1600        # largest degree an option may name
+MAX_DIGITS = 1000       # most decimal places an option may ask for
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -43,6 +45,24 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}")
 
 
+def _at_most(cap: int, what: str, value: int) -> int:
+    """``value``, refused before any use if it is above ``cap``."""
+    if value > cap:
+        raise argparse.ArgumentTypeError(f"{what} too large: {value} (at most {cap})")
+    return value
+
+
+def _bounded_int(cap: int, what: str):
+    """argparse type: an int of at most ``cap``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return _at_most(cap, what, value)
+    return parse
+
+
 def _parse_range(text: str) -> tuple[int, ...]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -50,12 +70,13 @@ def _parse_range(text: str) -> tuple[int, ...]:
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"not a range: {text!r} (expected A..B)")
+        raise argparse.ArgumentTypeError(f"not a range: {text!r} (expected A..B)")
     if a > b:
-        raise ValueError(f"empty range: {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     if b - a >= MAX_RANGE:      # refuse before the tuple is built
-        raise ValueError(f"range too long: {text!r} (at most {MAX_RANGE} values)")
-    return tuple(range(a, b + 1))
+        raise argparse.ArgumentTypeError(
+            f"range too long: {text!r} (at most {MAX_RANGE} values)")
+    return tuple(range(a, _at_most(MAX_DELTA, "degree", b) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +116,7 @@ def _parse_format(text: str):
                 raise argparse.ArgumentTypeError(f"bad digit count in {text!r}")
         if digits < 1:
             raise argparse.ArgumentTypeError("digit count must be positive")
-        return "decimal", digits
+        return "decimal", _at_most(MAX_DIGITS, "digit count", digits)
     raise argparse.ArgumentTypeError(f"unknown format {text!r}; use rational or decimal[:N]")
 
 
@@ -335,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Degree-weighted lower bounds on the independence number "
                     "of connected bounded-degree graphs, with witnesses.")
     sub = p.add_subparsers(dest="command", required=True)
+    delta_type = _bounded_int(MAX_DELTA, "degree")
 
     pc = sub.add_parser("coeffs", help="print a coefficient sequence")
-    pc.add_argument("--delta", type=int, required=True)
+    pc.add_argument("--delta", type=delta_type, required=True)
     pc.add_argument("--kind", choices=("c", "d", "clipped"), default="c")
     pc.add_argument("--c-delta", help="tail value for --kind clipped, e.g. 2/9")
     pc.add_argument("--format", type=_parse_format, default=("rational", None),
@@ -367,13 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
     pg.add_argument("family", choices=tuple(GENERATORS))
-    pg.add_argument("--delta", type=int)
-    pg.add_argument("--template-size", type=int)
-    pg.add_argument("--blocks", type=int)
-    pg.add_argument("--clique", type=int)
-    pg.add_argument("--cycle", type=int)
-    pg.add_argument("--vertices", type=int)
-    pg.add_argument("--seed", type=int, default=0)
+    for name in dict.fromkeys(n for names, _, _ in GENERATORS.values() for n in names):
+        pg.add_argument(f"--{name}", type=int, default=0 if name == "seed" else None)
     pg.add_argument("-o", "--output")
     pg.set_defaults(func=cmd_gen)
 
@@ -387,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="c- and d-coefficients side by side")
-    pt.add_argument("--delta", type=int, required=True)
-    pt.add_argument("--digits", type=int, default=12)
+    pt.add_argument("--delta", type=delta_type, required=True)
+    pt.add_argument("--digits", type=_bounded_int(MAX_DIGITS, "digit count"), default=12)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)
 

@@ -31,29 +31,19 @@ RationalLike = Union[int, Fraction]
 
 
 @lru_cache(maxsize=None)
-def _e_partial(k: int) -> tuple[Fraction, int]:
-    """(sum_{j<=k} 1/j!, k!) for the enclosure below."""
-    s = Fraction(0)
-    f = 1
-    for j in range(k + 1):
-        if j:
-            f *= j
-        s += Fraction(1, f)
-    return s, f
-
-
-@lru_cache(maxsize=None)
 def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo < e < hi with hi - lo < 10**-digits."""
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    target = Fraction(1, 10 ** digits)
-    k = 1
-    while Fraction(2, factorial(k + 1)) >= target:
+    # s = sum_{j<=k} 1/j! and f = k!, for the first k with 2/(k+1)! < 10**-digits
+    bound = 2 * 10 ** digits
+    k, f, s = 1, 1, Fraction(2)
+    while f * (k + 1) <= bound:
         k += 1
+        f *= k
+        s += Fraction(1, f)
     # s_k < e < s_k + 2/(k+1)!  (the tail is dominated by a geometric series
     # with ratio 1/(k+2), so it is below 1/(k+1)! * (k+2)/(k+1) <= 2/(k+1)!)
-    s, f = _e_partial(k)
     return s, s + Fraction(2, f * (k + 1))
 
 
@@ -268,14 +258,12 @@ def _c_values(delta: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-_c_values_cached = lru_cache(maxsize=None)(_c_values)
-
-
+@lru_cache(maxsize=None)
 def c_sequence(delta: int) -> CoeffSequence:
     """c_delta = 1/delta and i*c_i + c_{i+1} = 1, exact rationals."""
     if delta < 3:
         raise ValueError("coefficients defined only for delta >= 3")
-    return CoeffSequence("c", delta, _c_values_cached(delta))
+    return CoeffSequence("c", delta, _c_values(delta))
 
 
 def c_explicit(i: int, delta: int) -> Fraction:

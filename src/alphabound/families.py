@@ -125,23 +125,16 @@ def chain_blocks(delta: int, k: int) -> Graph:
         raise ValueError("block degree must be at least 3")
     if k < 1:
         raise ValueError("need at least one block")
+    # the vertices of degree delta-1, in increasing order: all but a later
+    # block's first, whose own hanging edge gives it degree delta; each new
+    # block takes the lowest one left
+    free = (v for v in range(k * delta) if v == 0 or v % delta)
     edges: list[tuple[int, int]] = []
-    deg = [0] * (k * delta)
-    def add(u, v):
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    for a, b in combinations(range(delta), 2):
-        add(a, b)
-    # degrees only grow, so the lowest vertex of degree delta-1 only moves up
-    x = 0
-    for block in range(1, k):
-        while deg[x] != delta - 1:
-            x += 1
+    for block in range(k):
         base = block * delta
-        for a, b in combinations(range(base, base + delta), 2):
-            add(a, b)
-        add(x, base)
+        edges.extend(combinations(range(base, base + delta), 2))
+        if block:
+            edges.append((next(free), base))
     return Graph(k * delta, edges)
 
 

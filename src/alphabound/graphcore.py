@@ -114,28 +114,20 @@ def is_in_class(g: Graph, delta: int) -> bool:
     if delta < 3:
         raise ValueError("class defined only for delta >= 3")
     try:
-        require_in_class(g, delta)
+        return require_in_class(g) == delta
     except ValueError:
         return False
-    return True
 
 
-def require_in_class(g: Graph, delta: Optional[int] = None) -> int:
-    """Like :func:`is_in_class` but raising, and inferring delta by default.
-
-    Returns the maximum degree on success.
+def require_in_class(g: Graph) -> int:
+    """Like :func:`is_in_class` but raising, with delta the graph's own
+    maximum degree.  Returns that degree on success.
     """
     if g.n == 0:
         raise ValueError("not in class: empty graph")
-    if delta is not None and delta < 3:
-        raise ValueError("class defined only for delta >= 3")
-    dmax = g.max_degree()
-    if delta is None:
-        delta = dmax
+    delta = g.max_degree()
     if delta < 3:
-        raise ValueError(f"not in class: maximum degree {dmax} < 3")
-    if dmax != delta:
-        raise ValueError(f"not in class: maximum degree is {dmax}, expected {delta}")
+        raise ValueError(f"not in class: maximum degree {delta} < 3")
     if not g.is_connected():
         raise ValueError("not in class: graph not connected")
     if g.is_complete():

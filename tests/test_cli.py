@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -145,13 +146,33 @@ OPTION_ERRORS = {
         (2, "error: random needs --vertices and --delta"),
     ("bound", "missing.txt", "--delta-range", "7..5"):
         (2, "alphabound bound: error: argument --delta-range: "
-            "invalid _parse_range value: '7..5'"),
+            "empty range: '7..5'"),
     ("bound", "missing.txt", "--delta-range", "5..100000000000"):
         (2, "alphabound bound: error: argument --delta-range: "
-            "invalid _parse_range value: '5..100000000000'"),
+            "range too long: '5..100000000000' (at most 1000 values)"),
     ("verify", "missing.txt", "--delta-range", "a..b"):
         (2, "alphabound verify: error: argument --delta-range: "
-            "invalid _parse_range value: 'a..b'"),
+            "not a range: 'a..b' (expected A..B)"),
+    ("bound", "missing.txt", "--delta-range", "100000000..100000000"):
+        (2, "alphabound bound: error: argument --delta-range: "
+            "degree too large: 100000000 (at most 1600)"),
+    ("verify", "missing.txt", "--delta-range", "50000000"):
+        (2, "alphabound verify: error: argument --delta-range: "
+            "degree too large: 50000000 (at most 1600)"),
+    ("coeffs", "--delta", "20000"):
+        (2, "alphabound coeffs: error: argument --delta: "
+            "degree too large: 20000 (at most 1600)"),
+    ("table", "--delta", "100000000"):
+        (2, "alphabound table: error: argument --delta: "
+            "degree too large: 100000000 (at most 1600)"),
+    ("table", "--delta", "5", "--digits", "100000000"):
+        (2, "alphabound table: error: argument --digits: "
+            "digit count too large: 100000000 (at most 1000)"),
+    ("coeffs", "--delta", "5", "--format", "decimal:100000000"):
+        (2, "alphabound coeffs: error: argument --format: "
+            "digit count too large: 100000000 (at most 1000)"),
+    ("coeffs", "--delta", "x"):
+        (2, "alphabound coeffs: error: argument --delta: invalid int value: 'x'"),
     ("coeffs", "--delta", "4", "--format", "decimal:0"):
         (2, "alphabound coeffs: error: argument --format: "
             "digit count must be positive"),
@@ -179,12 +200,35 @@ def test_delta_range_limit():
         # refused before a tuple of the values is built
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="at most 1000 values"):
+            with pytest.raises(argparse.ArgumentTypeError, match="at most 1000 values"):
                 cli._parse_range(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def test_size_caps_refuse_before_allocating():
+    assert cli._parse_range("1599..1600") == (1599, 1600)
+    assert cli._parse_format("decimal:1000") == ("decimal", 1000)
+    degree = cli._bounded_int(cli.MAX_DELTA, "degree")
+    assert degree("1600") == 1600
+    refusals = [
+        (cli._parse_range, "100000000..100000000", "degree too large"),
+        (cli._parse_range, "1601", "degree too large"),
+        (cli._parse_format, "decimal:100000000", "digit count too large"),
+        (degree, "20000", "degree too large"),
+        (cli._bounded_int(cli.MAX_DIGITS, "digit count"), "1001", "digit count too large"),
+    ]
+    for parse, text, message in refusals:
+        tracemalloc.start()
+        try:
+            with pytest.raises(argparse.ArgumentTypeError, match=message):
+                parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, text
 
 
 def test_bound_table(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import decimal
 import operator
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,22 @@ def test_e_enclosure_contains_e():
     assert hi - lo < F(1, 10**30)
     with pytest.raises(ValueError):
         e_enclosure(0)
+
+
+def reference_e_enclosure(digits):
+    """The enclosure built term by term: the smallest k with
+    2/(k+1)! < 10**-digits, then s_k and s_k + 2/(k+1)!."""
+    target = F(1, 10 ** digits)
+    k = 1
+    while F(2, factorial(k + 1)) >= target:
+        k += 1
+    s = sum((F(1, factorial(j)) for j in range(k + 1)), F(0))
+    return s, s + F(2, factorial(k + 1))
+
+
+def test_e_enclosure_matches_reference():
+    for digits in range(1, 61):
+        assert e_enclosure(digits) == reference_e_enclosure(digits), digits
 
 
 @given(st.fractions(min_value=-5, max_value=5),
