@@ -82,14 +82,28 @@ MUTANTS = [
            "if g.n:", "if True:",
            ("tests/test_witness.py::test_maximal_cliques_known",)),
     Mutant("handoff-current-degree", "src/alphabound/witness.py",
-           "weight[before.get(v, deg[v])]", "weight[deg[v]]", SHARE_TESTS),
+           "weight[before[y]] - weight[deg[y]]", "weight[deg[y]] - weight[deg[y]]",
+           SHARE_TESTS),
+    Mutant("handoff-correction-dropped", "src/alphabound/witness.py",
+           "\n                    + sum([weight[before[y]] - weight[deg[y]] "
+           "for y in seeds if y in part])", "", SHARE_TESTS),
+    Mutant("handoff-correction-unscoped", "src/alphabound/witness.py",
+           "for y in seeds if y in part]", "for y in seeds]",
+           ("tests/test_witness.py::test_witness_ledger_recomputed_independently",)),
+    Mutant("peel-pick-any-upward", "src/alphabound/witness.py",
+           "if deg[w] == dmax:", "if deg[w] > dmin:",
+           ("tests/test_witness.py::test_peel_steps_match_public_calls_and_reference",)),
+    Mutant("components-one-seed-short", "src/alphabound/graphcore.py",
+           "if not pending:", "if len(pending) <= 1:",
+           ("tests/test_graph.py::test_seeded_components_match_unseeded",)),
     Mutant("isolated-current-degree", "src/alphabound/witness.py",
-           "weight[before[y]]", "weight[deg[y]]", SHARE_TESTS),
+           "weight[before[y]] for y in isolated", "weight[deg[y]] for y in isolated",
+           SHARE_TESTS),
     Mutant("chain-first-vertex-free", "src/alphabound/families.py",
            "v == 0 or v % delta", "v % delta",
            ("tests/test_families.py::test_chain_blocks_matches_reference",)),
     Mutant("e-enclosure-start", "src/alphabound/coeffs.py",
-           "k, f, s = 1, 1, Fraction(2)", "k, f, s = 1, 1, Fraction(1)",
+           "k, f, p = 1, 1, 2", "k, f, p = 1, 1, 1",
            ("tests/test_coeffs.py::test_e_enclosure_contains_e",)),
     Mutant("class-degree-at-least", "src/alphabound/graphcore.py",
            "return require_in_class(g) == delta", "return require_in_class(g) >= delta",

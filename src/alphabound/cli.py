@@ -29,7 +29,8 @@ from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
 from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
                        random_connected, regular_blocks, regular_template)
 # the per-layer benchmark patches degree_profile and require_in_class on this module
-from .graphcore import Graph, degree_profile, load_graph, require_in_class, write_edge_list  # noqa: F401
+from .graphcore import (Graph, _number, degree_profile, load_graph,  # noqa: F401
+                        require_in_class, write_edge_list)
 from .witness import (CertificationError, check_clique_weighting,
                       clipped_weights, peel_witness)
 
@@ -52,14 +53,19 @@ def _at_most(cap: int, what: str, value: int) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """argparse type: an int spelled as graph files spell vertex numbers,
+    ASCII digits after an optional ``-``."""
+    try:
+        return _number(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _bounded_int(cap: int, what: str):
-    """argparse type: an int of at most ``cap``."""
+    """argparse type: an :func:`_integer` of at most ``cap``."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        return _at_most(cap, what, value)
+        return _at_most(cap, what, _integer(text))
     return parse
 
 
@@ -68,7 +74,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
     if not sep:
         lo = hi = text
     try:
-        a, b = int(lo), int(hi)
+        a, b = _number(lo), _number(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a range: {text!r} (expected A..B)")
     if a > b:
@@ -111,7 +117,7 @@ def _parse_format(text: str):
         digits = 12
         if ":" in text:
             try:
-                digits = int(text.partition(":")[2])
+                digits = _number(text.partition(":")[2])
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad digit count in {text!r}")
         if digits < 1:
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exact independence number")
     pe.add_argument("graph")
-    pe.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    pe.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET,
                     help=f"search node budget (default {DEFAULT_BUDGET})")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_exact)
@@ -390,16 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
     pg.add_argument("family", choices=tuple(GENERATORS))
     for name in dict.fromkeys(n for names, _, _ in GENERATORS.values() for n in names):
-        pg.add_argument(f"--{name}", type=int, default=0 if name == "seed" else None)
+        pg.add_argument(f"--{name}", type=_integer, default=0 if name == "seed" else None)
     pg.add_argument("-o", "--output")
     pg.set_defaults(func=cmd_gen)
 
     pv = sub.add_parser("verify", help="cross-check bounds, witness, exact")
     pv.add_argument("graph")
     pv.add_argument("--delta-range", type=_parse_range, default=())
-    pv.add_argument("--exact-threshold", type=int, default=30,
+    pv.add_argument("--exact-threshold", type=_integer, default=30,
                     help="run the exact solver when n is at most this")
-    pv.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 

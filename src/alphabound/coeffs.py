@@ -35,13 +35,15 @@ def e_enclosure(digits: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo < e < hi with hi - lo < 10**-digits."""
     if digits < 1:
         raise ValueError("digits must be at least 1")
-    # s = sum_{j<=k} 1/j! and f = k!, for the first k with 2/(k+1)! < 10**-digits
+    # p/f = sum_{j<=k} 1/j! with f = k!, for the first k with
+    # 2/(k+1)! < 10**-digits; p stays an integer, so there is one gcd
     bound = 2 * 10 ** digits
-    k, f, s = 1, 1, Fraction(2)
+    k, f, p = 1, 1, 2
     while f * (k + 1) <= bound:
         k += 1
         f *= k
-        s += Fraction(1, f)
+        p = p * k + 1
+    s = Fraction(p, f)
     # s_k < e < s_k + 2/(k+1)!  (the tail is dominated by a geometric series
     # with ratio 1/(k+2), so it is below 1/(k+1)! * (k+2)/(k+1) <= 2/(k+1)!)
     return s, s + Fraction(2, f * (k + 1))

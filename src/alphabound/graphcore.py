@@ -152,16 +152,36 @@ def _bfs(g: Graph, sources: Iterable[int],
     return parent
 
 
-def components_within(g: Graph, active: frozenset) -> list[frozenset]:
+def components_within(g: Graph, active: set[int] | frozenset[int],
+                      seeds: Optional[Iterable[int]] = None) -> list[frozenset]:
     """Connected components of the subgraph induced by ``active``,
-    ordered by smallest contained vertex."""
-    seen: set = set()
+    ordered by smallest contained vertex.
+
+    ``seeds``, vertices of ``active`` that meet every component, default
+    to all of ``active``.  The search starts from each seed not yet
+    reached, in increasing order, and stops as soon as it has reached
+    every seed: the component it is in is what the others leave of
+    ``active``."""
+    seeds = sorted(active if seeds is None else seeds)
+    pending = set(seeds)        # seeds not reached yet
+    adj = g.adj
     out = []
-    for s in sorted(active):
-        if s not in seen:
-            comp = frozenset(_bfs(g, (s,), active))
-            seen |= comp
-            out.append(comp)
+    for s in seeds:
+        if s not in pending:
+            continue
+        pending.remove(s)
+        comp = {s}
+        order = [s]
+        for v in order:             # order grows as the search runs
+            if not pending:
+                out.append(frozenset(active.difference(*out)))
+                return sorted(out, key=min)
+            for w in adj[v]:
+                if w in active and w not in comp:
+                    comp.add(w)
+                    order.append(w)
+                    pending.discard(w)
+        out.append(frozenset(comp))
     return out
 
 

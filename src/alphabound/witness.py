@@ -30,7 +30,7 @@ independence number.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import lcm
 from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
@@ -52,42 +52,58 @@ def _check(cond: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # peel vertex selection
 
-def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None) -> int:
+def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None,
+                       state: Optional[tuple] = None) -> int:
     """Minimum-degree vertex (within ``active``) chosen so that one of its
     neighbors has strictly larger degree: run a breadth-first search from
     all minimum-degree vertices at once and walk back from the nearest
-    maximum-degree vertex.  The source that search lands on is the pick."""
-    vset = set(range(g.n) if active is None else active)
-    if not vset:
-        raise ValueError("empty vertex set")
-    verts = sorted(vset)
-    if len(_bfs(g, verts[:1], vset)) != len(vset):
-        raise ValueError("active set must induce a connected graph")
-    nbr = g.neighbor_sets()
-    deg = {v: len(nbr[v] & vset) for v in verts}
-    dmin = min(deg.values())
-    dmax = max(deg.values())
+    maximum-degree vertex.  The source that search lands on is the pick.
+
+    The peel passes its own ``state``, (deg, alive, dmin, dmax), for the
+    sorted connected piece ``active``: deg[v] is v's degree inside the
+    piece, ``alive`` holds the piece and none of its other neighbors, and
+    dmin and dmax are the piece's extreme degrees.  No vertex set, degree
+    table or connectivity search is then built for the piece."""
+    if state is None:
+        vset = set(range(g.n) if active is None else active)
+        if not vset:
+            raise ValueError("empty vertex set")
+        active = sorted(vset)
+        if len(_bfs(g, active[:1], vset)) != len(vset):
+            raise ValueError("active set must induce a connected graph")
+        nbr = g.neighbor_sets()
+        deg = {v: len(nbr[v] & vset) for v in active}
+        state = deg, vset, min(deg.values()), max(deg.values())
+    deg, alive, dmin, dmax = state
     if dmin == dmax:
         raise ValueError("no peel vertex in regular graph")
-    parent = {v: -1 for v in verts if deg[v] == dmin}
-    queue = list(parent)
+    # the sources are the piece's minimum-degree vertices, dequeued in
+    # sorted order ahead of the vertices they discover; a discovered vertex
+    # has degree above dmin, and the first of degree dmax ends the search,
+    # so a source with such a neighbor ends it in the first layer
+    sources = compress(active, map(dmin.__eq__, map(deg.__getitem__, active)))
+    parent: dict[int, int] = {}
+    queue: list[int] = []
     target = None
-    for v in queue:                 # queue grows as the search runs
-        if deg[v] == dmax:
-            target = v
-            break
-        for w in g.adj[v]:
-            if w in vset and w not in parent:
+    adj = g.adj
+    for v in chain(sources, queue):     # queue grows as the search runs
+        for w in adj[v]:
+            if w in alive and deg[w] > dmin and w not in parent:
                 parent[w] = v
+                if deg[w] == dmax:
+                    target = w
+                    break
                 queue.append(w)
+        if target is not None:
+            break
     _check(target is not None, "search never reached the maximum degree class")
     path = [target]
-    while parent[path[-1]] != -1:
+    while path[-1] in parent:
         path.append(parent[path[-1]])
-    u = path[-1]
-    # the vertex after u on the path is not a minimum-degree vertex, or it
-    # would itself have been a search source at distance zero
-    _check(deg[path[-2]] > dmin, "peel path neighbor fails the degree condition")
+    u, w = path[-1], path[-2]
+    # the vertex w after u on the path is not a minimum-degree vertex, or
+    # it would itself have been a search source at distance zero
+    _check(deg[w] > dmin, "peel path neighbor fails the degree condition")
     return u
 
 
@@ -147,12 +163,15 @@ def peel_witness(g: Graph) -> WitnessResult:
     alive = set(range(g.n))
 
     chosen: set[int] = set()
-    # the per-layer benchmark counts components_within calls made from "rec"
+    # perfbench/traced.py finds the peel by this closure's name, "rec".  It
+    # counts one call of the module global select_peel_vertex per PeelStep,
+    # and takes the pieces handed on from the one components_within call a
+    # step makes here, which must return every component the step hands on.
     def rec(piece: tuple[int, ...], owed: int) -> list[tuple[tuple[int, ...], int]]:
         """Settle one sorted piece; return its (component, handoff) pairs."""
-        degs = [deg[v] for v in piece]
+        degs = list(map(deg.__getitem__, piece))
         k = len(piece)
-        target = sum([weight[d] for d in degs])
+        target = sum(map(weight.__getitem__, degs))
         dmin = min(degs)
         dmax = max(degs)
         if dmin == k - 1:
@@ -178,7 +197,7 @@ def peel_witness(g: Graph) -> WitnessResult:
                                   Fraction(target, scale), Fraction(owed, scale)))
             chosen.update(taken)
             return []
-        u = select_peel_vertex(g, piece)
+        u = select_peel_vertex(g, piece, (deg, alive, dmin, dmax))
         nbrs = tuple(w for w in g.adj[u] if w in alive)
         share = weight[deg[u]] + sum([weight[deg[w]] for w in nbrs])
         _check(share <= scale, "peel share exceeds one")
@@ -194,9 +213,16 @@ def peel_witness(g: Graph) -> WitnessResult:
                     deg[y] -= 1
         isolated = sorted(y for y in before if deg[y] == 0)
         iso_share = sum([weight[before[y]] for y in isolated])
-        remaining = set(piece).difference(closed, isolated)
-        comps = [tuple(sorted(c)) for c in components_within(g, remaining)]
-        handoffs = [sum([weight[before.get(v, deg[v])] for v in c]) for c in comps]
+        # every surviving component touches N[u] (the piece was connected),
+        # so the non-isolated vertices that lost degree meet each of them
+        seeds = [y for y in before if deg[y]]
+        parts = components_within(g, set(piece).difference(closed, isolated), seeds)
+        comps = [tuple(sorted(c)) for c in parts]
+        # each handoff sums its whole component at current degrees, then
+        # restores the parent-piece degree of the seeds inside it
+        handoffs = [sum(map(weight.__getitem__, map(deg.__getitem__, c)))
+                    + sum([weight[before[y]] - weight[deg[y]] for y in seeds if y in part])
+                    for c, part in zip(comps, parts)]
         _check(target == share + iso_share + sum(handoffs),
                "weight accounting mismatch")
         trace.append(PeelStep(u, deg[u], nbrs, tuple(isolated), tuple(comps),
@@ -328,7 +354,9 @@ def _color_regular(g: Graph, piece: Sequence[int], d: int,
     cut = _find_cut_vertex(g, piece, alive)
     if cut is not None:
         colors: dict[int, int] = {}
-        for comp in components_within(g, set(piece) - {cut}):
+        # each part of the piece without the cut vertex holds a neighbor of it
+        seeds = [w for w in g.adj[cut] if w in alive]
+        for comp in components_within(g, set(piece) - {cut}, seeds):
             # the search from the cut vertex through comp reaches both
             part = _greedy_from_root(g, cut, comp, len(comp) + 1, d, {})
             # permute so the cut vertex is color 0 in every part, then glue

@@ -173,6 +173,26 @@ OPTION_ERRORS = {
             "digit count too large: 100000000 (at most 1000)"),
     ("coeffs", "--delta", "x"):
         (2, "alphabound coeffs: error: argument --delta: invalid int value: 'x'"),
+    # integer options take ASCII digits only, as graph files do
+    ("coeffs", "--delta", "\u0664"):
+        (2, "alphabound coeffs: error: argument --delta: invalid int value: '\u0664'"),
+    ("coeffs", "--delta", "1_0"):
+        (2, "alphabound coeffs: error: argument --delta: invalid int value: '1_0'"),
+    ("coeffs", "--delta", "+3"):
+        (2, "alphabound coeffs: error: argument --delta: invalid int value: '+3'"),
+    ("bound", "missing.txt", "--delta-range", "1_0..12"):
+        (2, "alphabound bound: error: argument --delta-range: "
+            "not a range: '1_0..12' (expected A..B)"),
+    ("coeffs", "--delta", "4", "--format", "decimal:1_0"):
+        (2, "alphabound coeffs: error: argument --format: "
+            "bad digit count in 'decimal:1_0'"),
+    ("gen", "pendant-cycle", "--cycle", "1_0"):
+        (2, "alphabound gen: error: argument --cycle: invalid int value: '1_0'"),
+    ("exact", "missing.txt", "--budget", "+5"):
+        (2, "alphabound exact: error: argument --budget: invalid int value: '+5'"),
+    ("verify", "missing.txt", "--exact-threshold", "\u0663"):
+        (2, "alphabound verify: error: argument --exact-threshold: "
+            "invalid int value: '\u0663'"),
     ("coeffs", "--delta", "4", "--format", "decimal:0"):
         (2, "alphabound coeffs: error: argument --format: "
             "digit count must be positive"),

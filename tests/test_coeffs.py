@@ -276,7 +276,7 @@ def reference_e_enclosure(digits):
 
 
 def test_e_enclosure_matches_reference():
-    for digits in range(1, 61):
+    for digits in (*range(1, 61), 200, 1000, 3000):
         assert e_enclosure(digits) == reference_e_enclosure(digits), digits
 
 

@@ -175,6 +175,32 @@ def test_breadth_first_users_match_networkx(case):
             _greedy_from_root(g, min(active), active, len(active), g.n, {})
 
 
+def reference_components(g, active):
+    """Components by a full search from the smallest unseen vertex of each."""
+    seen = set()
+    out = []
+    for s in sorted(active):
+        if s not in seen:
+            comp = frozenset(_bfs(g, (s,), active))
+            seen |= comp
+            out.append(comp)
+    return out
+
+
+@given(graphs_with_active_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_seeded_components_match_unseeded(case, data):
+    """Seeds that meet every component give the components of a full
+    search, whichever seeds they are and however many."""
+    g, active = case
+    expected = reference_components(g, active)
+    assert components_within(g, active) == expected
+    seeds = {data.draw(st.sampled_from(sorted(c))) for c in expected}
+    if active:
+        seeds |= data.draw(st.sets(st.sampled_from(sorted(active))))
+    assert components_within(g, active, seeds) == expected
+
+
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_edge_list_basic():

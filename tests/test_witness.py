@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphabound import witness
 from alphabound.bounds import c_bound
 from alphabound.coeffs import c_sequence
 from alphabound.exact import exact_alpha, is_independent
@@ -50,6 +51,74 @@ def test_select_errors():
         select_peel_vertex(Graph(3), active=[])
     with pytest.raises(ValueError, match="connected"):
         select_peel_vertex(path_graph(5), active=[0, 1, 3, 4])
+
+
+def reference_select(g, active):
+    """The pick as a search from all minimum-degree vertices at once, run
+    until it dequeues a maximum-degree vertex, then walked back."""
+    vset = set(active)
+    verts = sorted(vset)
+    nbr = g.neighbor_sets()
+    deg = {v: len(nbr[v] & vset) for v in verts}
+    dmin, dmax = min(deg.values()), max(deg.values())
+    parent = {v: -1 for v in verts if deg[v] == dmin}
+    queue = list(parent)
+    for v in queue:
+        if deg[v] == dmax:
+            break
+        for w in g.adj[v]:
+            if w in vset and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    while parent[v] != -1:
+        v = parent[v]
+    return v
+
+
+small_members = st.one_of(
+    st.integers(3, 6).flatmap(lambda delta: st.builds(
+        random_connected, st.integers(delta + 1, 40), st.just(delta),
+        st.integers(0, 10_000))),
+    st.builds(cycle_with_pendants, st.integers(3, 20)),
+    st.builds(chain_blocks, st.integers(3, 5), st.integers(2, 5)),
+    st.builds(attach_cliques, st.just(5), st.integers(2, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def members_in_any_numbering(draw):
+    g = draw(small_members)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(g.n)))
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return g
+
+
+@given(members_in_any_numbering())
+@settings(max_examples=150, deadline=None)
+def test_peel_steps_match_public_calls_and_reference(g):
+    """At every peel step, the pick made from the peel's own state equals
+    the public call's and the reference search's, and the seeded split
+    equals the unseeded one."""
+    picks, splits = [], []
+
+    def pick(graph, active, state):
+        picks.append((active, select_peel_vertex(graph, active, state)))
+        return picks[-1][1]
+
+    def split(graph, active, seeds):
+        splits.append((active, components_within(graph, active, seeds)))
+        return splits[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witness, "select_peel_vertex", pick)
+        mp.setattr(witness, "components_within", split)
+        r = peel_witness(g)
+    assert [u for _, u in picks] == [s.vertex for s in r.trace if isinstance(s, PeelStep)]
+    for piece, u in picks:
+        assert select_peel_vertex(g, piece) == u == reference_select(g, piece)
+    for active, parts in splits:
+        assert components_within(g, active) == parts
 
 
 def test_selected_vertex_has_an_upward_neighbor():
