@@ -12,9 +12,9 @@ pass every named test.
 
 A mutant is killed when one of its tests fails.  It survives if all of
 them pass; a run that breaks instead (an import error, a test id not
-found) is not a kill either.  Its old text must occur exactly once in its
-file.  If it does not, the guarded line has moved, and the entry must move
-with it.
+found, a run stopped after TIMEOUT_S seconds) is not a kill either.  Its
+old text must occur exactly once in its file.  If it does not, the
+guarded line has moved, and the entry must move with it.
 
 Names on the command line run only those mutants.  Prints one line per
 mutant and exits 1 unless every one is killed.
@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300         # one pytest run is stopped after this many seconds
 
 
 class Mutant(NamedTuple):
@@ -66,8 +67,8 @@ MUTANTS = [
            "if w[v] * (2 * g.degree(v) + 1) >= 2 * scale:",
            ("tests/test_witness.py::test_clipped_weights_pass_on_class_members",)),
     Mutant("bfs-ignores-within", "src/alphabound/graphcore.py",
-           "if w not in parent and (within is None or w in within):",
-           "if w not in parent:",
+           "if w not in seen and (within is None or w in within):",
+           "if w not in seen:",
            ("tests/test_graph.py::test_breadth_first_users_match_networkx",)),
     Mutant("number-underscore", "src/alphabound/graphcore.py",
            "(token.isdigit() or",
@@ -108,6 +109,19 @@ MUTANTS = [
     Mutant("class-degree-at-least", "src/alphabound/graphcore.py",
            "return require_in_class(g) == delta", "return require_in_class(g) >= delta",
            ("tests/test_graph.py::test_is_in_class_matches_networkx",)),
+    Mutant("tree-parent-kept-at-cap", "src/alphabound/families.py",
+           "parents.remove(u)", "pass",
+           ("tests/test_families.py::test_random_connected_output_pinned",)),
+    Mutant("table-gap-signed", "src/alphabound/cli.py",
+           '.lstrip("-")', "",
+           ("tests/test_cli.py::test_table_output_pinned",)),
+    Mutant("pick-step-from-last-vertex", "src/alphabound/witness.py",
+           "via[v] if v in via else (v, w)", "(v, w)",
+           ("tests/test_witness.py::test_peel_steps_match_public_calls_and_reference",)),
+    Mutant("sign-zero-positive", "src/alphabound/coeffs.py",
+           "(lo > 0) - (hi < 0)", "(lo >= 0) - (hi < 0)",
+           ("tests/test_coeffs.py::test_euler_linear_comparisons_follow_the_sign",
+            "tests/test_coeffs.py::test_euler_linear_sign_consistent_with_float")),
 ]
 
 
@@ -117,16 +131,19 @@ def copy_tree(dest: Path) -> None:
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
 
 
-def run_tests(tree: Path, tests) -> int:
+def run_tests(tree: Path, tests) -> int | None:
     """pytest's exit code: 0 if every test passed, 1 if some failed, and
     anything else if the run itself broke (a test id not found, an import
-    error)."""
+    error); None if it was stopped after TIMEOUT_S seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *tests],
-        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *tests],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main(argv=None) -> int:
@@ -154,7 +171,8 @@ def main(argv=None) -> int:
             else:
                 target.write_text(text.replace(m.old, m.new), encoding="utf-8")
                 code = run_tests(tree, m.tests)
-                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"broke the run (exit {code})")
+                verdict = {0: "SURVIVED", 1: "killed", None: "broke the run (timeout)"}.get(
+                    code, f"broke the run (exit {code})")
             bad += verdict != "killed"
             print(f"{m.name}: {verdict}")
             shutil.rmtree(tree)

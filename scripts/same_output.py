@@ -73,6 +73,11 @@ OTHER_INVOCATIONS = [
     *[["coeffs", "--delta", "6", "--kind", kind, "--format", fmt]
       for kind in ("c", "d", "clipped") for fmt in ("rational", "decimal:20")],
     ["table", "--delta", "6"],
+    ["table", "--delta", "60", "--digits", "40"],
+    ["table", "--delta", "60", "--json"],
+    ["coeffs", "--kind", "d", "--delta", "200", "--format", "decimal:60"],
+    # larger than every random_connected member the tests pin
+    ["gen", "random", "--vertices", "3000", "--delta", "5", "--seed", "7"],
     ["--help"],
     *[[command, "--help"] for command in
       ("coeffs", "bound", "witness", "exact", "gen", "verify", "table")],

@@ -37,6 +37,7 @@ from .witness import (CertificationError, check_clique_weighting,
 MAX_RANGE = 1000        # values one --delta-range may name
 MAX_DELTA = 1600        # largest degree an option may name
 MAX_DIGITS = 1000       # most decimal places an option may ask for
+MAX_GEN_SIZE = 4_000_000    # most vertices plus edges one gen may build
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -140,16 +141,15 @@ def _bound_rows(g: Graph, deltas: tuple[int, ...]):
 def cmd_bound(args) -> int:
     g = load_graph(args.graph)
     report, rows = _bound_rows(g, args.delta_range)
-    profile = report.profile
-    delta = profile.delta_max
+    delta = report.profile.delta_max
+    classes = [(i, k) for i, k in enumerate(report.profile.counts) if i and k]
     if args.json:
         data = {
             "graph": args.graph,
             "n": g.n,
             "m": g.m,
             "delta": delta,
-            "degree_classes": {str(i): profile.count(i)
-                               for i in range(1, delta + 1) if profile.count(i)},
+            "degree_classes": {str(i): k for i, k in classes},
             "bounds": {name: {"exact": str(v), "decimal": render_decimal(v)}
                        for name, v in rows},
             "best": report.best,
@@ -157,9 +157,7 @@ def cmd_bound(args) -> int:
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
     print(f"graph: {args.graph} (n={g.n}, m={g.m}, max degree {delta})")
-    classes = ", ".join(f"|V_{i}|={profile.count(i)}"
-                        for i in range(1, delta + 1) if profile.count(i))
-    print(f"degree classes: {classes}")
+    print("degree classes: " + ", ".join(f"|V_{i}|={k}" for i, k in classes))
     width = max(len(name) for name, _ in rows)
     for name, v in rows:
         print(f"{name.ljust(width)}  {str(v):>18}  {render_decimal(v)}")
@@ -244,25 +242,45 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
+def _chain_size(d: int, k: int) -> tuple[int, int]:
+    return k * d, k * d * (d - 1) // 2 + k - 1
+
+
+def _attach_size(d: int, k: int, j: int) -> tuple[int, int]:
+    n, m = _chain_size(d, k)
+    anchors = k * d - 2 * (k - 1)       # the chain's degree-(d-1) vertices
+    return n + anchors * (j + 1), m + anchors * (j * (j + 1) // 2 + 1)
+
+
 # family -> (its options in header order, how many of them are required,
-# the builder taking their values in that order)
+# the builder taking their values in that order, and the vertex and edge
+# counts it builds from them; at most that many edges for random)
 GENERATORS = {
     "regular-blocks": (("delta", "template-size"), 2,
-                       lambda d, k: regular_blocks(d, regular_template(d, k))),
-    "chain": (("delta", "blocks"), 2, chain_blocks),
-    "attach": (("delta", "blocks", "clique"), 3, attach_cliques),
-    "pendant-cycle": (("cycle",), 1, cycle_with_pendants),
-    "random": (("vertices", "delta", "seed"), 2, random_connected),
+                       lambda d, k: regular_blocks(d, regular_template(d, k)),
+                       lambda d, k: (k * d, k * d * (d - 1) // 2 + k * d // 2)),
+    "chain": (("delta", "blocks"), 2, chain_blocks, _chain_size),
+    "attach": (("delta", "blocks", "clique"), 3, attach_cliques, _attach_size),
+    "pendant-cycle": (("cycle",), 1, cycle_with_pendants,
+                      lambda c: (2 * c + 1, 2 * c + 1)),
+    "random": (("vertices", "delta", "seed"), 2, random_connected,
+               lambda n, d, seed: (n, n * d // 2)),
 }
 
 
 def cmd_gen(args) -> int:
-    names, required, build = GENERATORS[args.family]
+    names, required, build, size = GENERATORS[args.family]
     values = [getattr(args, name.replace("-", "_")) for name in names]
     if None in values[:required]:
         *rest, last = [f"--{name}" for name in names[:required]]
         listed = f"{', '.join(rest)} and {last}" if rest else last
         raise ValueError(f"{args.family} needs {listed}")
+    # negative values, which every family refuses itself, count as 0
+    n, m = size(*(max(v, 0) for v in values))
+    if n + m > MAX_GEN_SIZE:
+        given = " ".join(f"--{name} {v}" for name, v in zip(names, values))
+        raise ValueError(f"{args.family} {given} too large: {n} vertices and"
+                         f" {m} edges (at most {MAX_GEN_SIZE} in all)")
     header = " ".join([f"gen {args.family}",
                        *(f"{name}={v}" for name, v in zip(names, values))])
     text = write_edge_list(build(*values), header=header)
@@ -336,9 +354,10 @@ def cmd_table(args) -> int:
     digits = args.digits
     rows = []
     for i in range(1, args.delta + 1):
-        gap = abs(cs[i] - ds[i])
+        # |c - d|: rounding is odd-symmetric, and a 0 prints unsigned
+        gap = render_decimal(cs[i] - ds[i], digits).lstrip("-")
         rows.append((i, str(cs[i]), render_decimal(cs[i], digits),
-                     render_decimal(ds[i], digits), render_decimal(gap, digits)))
+                     render_decimal(ds[i], digits), gap))
     if args.json:
         print(json.dumps([{"i": i, "c": ce, "c_decimal": cd,
                            "d_decimal": dd, "gap": gp}
@@ -395,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
     pg.add_argument("family", choices=tuple(GENERATORS))
-    for name in dict.fromkeys(n for names, _, _ in GENERATORS.values() for n in names):
+    for name in dict.fromkeys(n for names, *_ in GENERATORS.values() for n in names):
         pg.add_argument(f"--{name}", type=_integer, default=0 if name == "seed" else None)
     pg.add_argument("-o", "--output")
     pg.set_defaults(func=cmd_gen)

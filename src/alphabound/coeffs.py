@@ -139,17 +139,18 @@ class EulerLinear:
             return self.a + self.b * inv_lo, self.a + self.b * inv_hi
         return self.a + self.b * inv_hi, self.a + self.b * inv_lo
 
-    def sign(self) -> int:
-        if self.b == 0:
-            return -1 if self.a < 0 else (0 if self.a == 0 else 1)
+    def _intervals(self):
+        """Enclosures at 20, 40, 80, ... digits of e, without end."""
         digits = 20
         while True:
-            lo, hi = self.interval(digits)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            digits *= 2     # b != 0 makes the value irrational, never zero
+            yield self.interval(digits)
+            digits *= 2
+
+    def sign(self) -> int:
+        # (a, a) if b == 0; otherwise the value is irrational, never zero
+        for lo, hi in self._intervals():
+            if lo > 0 or hi < 0 or lo == hi:
+                return (lo > 0) - (hi < 0)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -179,13 +180,10 @@ class EulerLinear:
             raise ValueError("digits must be at least 1")
         scale = 10 ** digits
         # a rational value's enclosure is (a, a), which settles at once
-        prec = 20
-        while True:
-            lo, hi = self.interval(prec)
+        for lo, hi in self._intervals():
             scaled = round(lo * scale)
             if scaled == round(hi * scale):
                 break
-            prec *= 2
         sign = "-" if scaled < 0 else ""
         scaled = abs(scaled)
         return f"{sign}{scaled // scale}.{scaled % scale:0{digits}d}"

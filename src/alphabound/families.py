@@ -195,18 +195,17 @@ def random_connected(n: int, delta: int, seed: int) -> Graph:
             deg[u] += 1
             deg[v] += 1
 
-        # spanning tree under the degree cap
+        # spanning tree under the degree cap, drawing parents from the placed
+        # vertices below it in placement order (the last placed always is)
         order = list(range(n))
         rng.shuffle(order)
-        ok = True
-        for i in range(1, n):
-            parents = [u for u in order[:i] if deg[u] < delta]
-            if not parents:
-                ok = False
-                break
-            add(rng.choice(parents), order[i])
-        if not ok:
-            continue
+        parents = order[:1]
+        for v in order[1:]:
+            u = rng.choice(parents)
+            add(u, v)
+            if deg[u] == delta:
+                parents.remove(u)
+            parents.append(v)
         # densify toward a random target size
         m_target = rng.randint(n - 1, max_m)
         for _ in range(10 * max_m):
@@ -215,11 +214,10 @@ def random_connected(n: int, delta: int, seed: int) -> Graph:
             u, v = rng.randrange(n), rng.randrange(n)
             if addable(u, v):
                 add(u, v)
-        # push the top vertex until the maximum degree is exactly delta
-        for _ in range(10 * n):
-            if max(deg) >= delta:
-                break
-            u = max(range(n), key=lambda t: (deg[t], -t))
+        # push the top vertex until the maximum degree is exactly delta; it
+        # stays on top, as each edge lifts it and ties go to the smaller index
+        u = max(range(n), key=lambda t: (deg[t], -t))
+        while deg[u] < delta:
             cands = [v for v in range(n) if addable(u, v)]
             if not cands:
                 break

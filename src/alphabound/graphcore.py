@@ -137,19 +137,19 @@ def require_in_class(g: Graph) -> int:
 
 
 def _bfs(g: Graph, sources: Iterable[int],
-         within: Optional[AbstractSet[int]] = None) -> dict[int, int]:
+         within: Optional[AbstractSet[int]] = None) -> list[int]:
     """Breadth-first search from ``sources``, restricted to the vertex set
-    ``within`` when one is given.  Maps each reached vertex to its parent,
-    -1 at the sources, in visit order."""
-    parent = dict.fromkeys(sources, -1)
-    order = list(parent)
+    ``within`` when one is given.  Returns the reached vertices in visit
+    order."""
+    order = list(dict.fromkeys(sources))
+    seen = set(order)
     adj = g.adj
     for v in order:                 # order grows as the search runs
         for w in adj[v]:
-            if w not in parent and (within is None or w in within):
-                parent[w] = v
+            if w not in seen and (within is None or w in within):
+                seen.add(w)
                 order.append(w)
-    return parent
+    return order
 
 
 def components_within(g: Graph, active: set[int] | frozenset[int],

@@ -56,8 +56,8 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None,
                        state: Optional[tuple] = None) -> int:
     """Minimum-degree vertex (within ``active``) chosen so that one of its
     neighbors has strictly larger degree: run a breadth-first search from
-    all minimum-degree vertices at once and walk back from the nearest
-    maximum-degree vertex.  The source that search lands on is the pick.
+    all minimum-degree vertices at once until it reaches a maximum-degree
+    vertex.  The source that vertex's search path starts at is the pick.
 
     The peel passes its own ``state``, (deg, alive, dmin, dmax), for the
     sorted connected piece ``active``: deg[v] is v's degree inside the
@@ -82,14 +82,16 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None,
     # has degree above dmin, and the first of degree dmax ends the search,
     # so a source with such a neighbor ends it in the first layer
     sources = compress(active, map(dmin.__eq__, map(deg.__getitem__, active)))
-    parent: dict[int, int] = {}
+    # each discovered vertex maps to the source its path starts at and the
+    # first step of that path; no source is ever discovered
+    via: dict[int, tuple[int, int]] = {}
     queue: list[int] = []
     target = None
     adj = g.adj
     for v in chain(sources, queue):     # queue grows as the search runs
         for w in adj[v]:
-            if w in alive and deg[w] > dmin and w not in parent:
-                parent[w] = v
+            if w in alive and deg[w] > dmin and w not in via:
+                via[w] = via[v] if v in via else (v, w)
                 if deg[w] == dmax:
                     target = w
                     break
@@ -97,10 +99,7 @@ def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None,
         if target is not None:
             break
     _check(target is not None, "search never reached the maximum degree class")
-    path = [target]
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    u, w = path[-1], path[-2]
+    u, w = via[target]
     # the vertex w after u on the path is not a minimum-degree vertex, or
     # it would itself have been a search source at distance zero
     _check(deg[w] > dmin, "peel path neighbor fails the degree condition")
@@ -278,7 +277,7 @@ def _greedy_from_root(g: Graph, root: int, within: AbstractSet[int], size: int,
     # neighbor colors are in use; the root itself must see < palette
     # distinct neighbor colors for other reasons (fewer neighbors, or two
     # neighbors sharing a color)
-    order = list(_bfs(g, (root,), within))
+    order = _bfs(g, (root,), within)
     _check(len(order) == size, "coloring piece is not connected")
     for v in reversed(order):
         used = {colors[w] for w in g.adj[v] if w in colors}

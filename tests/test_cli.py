@@ -251,6 +251,60 @@ def test_size_caps_refuse_before_allocating():
         assert peak < 1e6, text
 
 
+# stderr of gen requests refused by size; chain's C(delta, 2) edges per
+# block are more than any cap on a single option bounds
+GEN_TOO_LARGE = {
+    ("pendant-cycle", "--cycle", "100000000"):
+        "error: pendant-cycle --cycle 100000000 too large: 200000001 vertices"
+        " and 200000001 edges (at most 4000000 in all)\n",
+    ("random", "--vertices", "100000000", "--delta", "4"):
+        "error: random --vertices 100000000 --delta 4 --seed 0 too large:"
+        " 100000000 vertices and 200000000 edges (at most 4000000 in all)\n",
+    ("chain", "--delta", "100000", "--blocks", "2"):
+        "error: chain --delta 100000 --blocks 2 too large: 200000 vertices"
+        " and 9999900001 edges (at most 4000000 in all)\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_TOO_LARGE))
+def test_gen_refuses_oversize_before_building(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gen", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", GEN_TOO_LARGE[argv])
+    assert peak < 1e6
+
+
+def test_gen_negative_values_keep_the_family_refusal(capsys):
+    # negative values count as 0 toward the cap; the family refuses them
+    code, out, err = run(capsys, "gen", "chain", "--delta", "-100000", "--blocks", "2")
+    assert (code, out, err) == (2, "", "error: block degree must be at least 3\n")
+
+
+@pytest.mark.parametrize("family, values", [
+    ("regular-blocks", (3, 4)), ("regular-blocks", (4, 7)), ("regular-blocks", (5, 6)),
+    ("chain", (3, 1)), ("chain", (3, 4)), ("chain", (5, 3)),
+    ("attach", (4, 2, 1)), ("attach", (5, 3, 2)), ("attach", (6, 3, 4)),
+    ("pendant-cycle", (3,)), ("pendant-cycle", (10,)),
+    ("random", (12, 4, 3)), ("random", (50, 6, 1)), ("random", (30, 3, 0)),
+])
+def test_gen_size_forms_match_built_graphs(family, values):
+    _, _, build, size = cli.GENERATORS[family]
+    g = build(*values)
+    n, m = size(*values)
+    assert g.n == n
+    assert g.m <= m if family == "random" else g.m == m
+
+
+def test_gen_cap_admits_the_large_benchmark_inputs():
+    # the 10**6-vertex bound input and a 10**5-vertex random member
+    for family, values in (("pendant-cycle", (500000,)), ("random", (100000, 4, 0))):
+        assert sum(cli.GENERATORS[family][3](*values)) <= cli.MAX_GEN_SIZE
+
+
 def test_bound_table(tmp_path, capsys):
     path = gen_gstar(tmp_path, capsys)
     code, out, _ = run(capsys, "bound", path)
@@ -634,6 +688,23 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert [r["i"] for r in rows] == [1, 2, 3, 4]
     assert rows[0]["c"] == "5/8"
+
+
+# sha256 of stdout, recorded before the gap column was rendered from the
+# signed difference; rows 37 and 39 have c < d
+TABLE_PINNED = {
+    ("--delta", "40", "--digits", "30"):
+        "843ba203a6c0f4680a4e29d06e98d8a96638ff984b29ba67cf9201968c3237b9",
+    ("--delta", "40", "--json"):
+        "36d4753df343184c9a84f850b0b91fb60d62f1be64d8d83c05c59d22502c5d6a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_PINNED))
+def test_table_output_pinned(argv, capsys):
+    code, out, err = run(capsys, "table", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_PINNED[argv]
 
 
 def test_dimacs_input_accepted(tmp_path, capsys):
