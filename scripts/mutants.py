@@ -110,8 +110,11 @@ MUTANTS = [
            "return require_in_class(g) == delta", "return require_in_class(g) >= delta",
            ("tests/test_graph.py::test_is_in_class_matches_networkx",)),
     Mutant("tree-parent-kept-at-cap", "src/alphabound/families.py",
-           "parents.remove(u)", "pass",
+           "if deg[u] == delta:", "if False:",
            ("tests/test_families.py::test_random_connected_output_pinned",)),
+    Mutant("tree-rank-off-by-one", "src/alphabound/families.py",
+           "tree[pos + step] <= r", "tree[pos + step] < r",
+           ("tests/test_families.py::test_random_connected_matches_list_reference",)),
     Mutant("table-gap-signed", "src/alphabound/cli.py",
            '.lstrip("-")', "",
            ("tests/test_cli.py::test_table_output_pinned",)),

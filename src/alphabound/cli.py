@@ -20,19 +20,44 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .bounds import bound_report
-from .coeffs import c_sequence, clipped_sequence, d_sequence, render_decimal
-from .exact import DEFAULT_BUDGET, BudgetExceeded, exact_alpha
-from .families import (attach_cliques, chain_blocks, cycle_with_pendants,
-                       random_connected, regular_blocks, regular_template)
 # the per-layer benchmark patches degree_profile and require_in_class on this module
-from .graphcore import (Graph, _number, degree_profile, load_graph,  # noqa: F401
-                        require_in_class, write_edge_list)
-from .witness import (CertificationError, check_clique_weighting,
-                      clipped_weights, peel_witness)
+from .graphcore import (DEFAULT_BUDGET, BudgetExceeded,  # noqa: F401
+                        CertificationError, Graph, _number, degree_profile,
+                        load_graph, require_in_class, write_edge_list)
+
+# Library names that only some commands use, by module.  Each is imported
+# on first access through __getattr__ below and then kept as an attribute
+# of this module, where the tests and the per-layer benchmark replace it;
+# the commands call them through _cli, so a replacement sees every call.
+# A job thus compiles only the modules its command runs: without bytecode
+# caching, every job compiles each module it imports from source.
+_LAZY = {name: module for module, names in (
+    ("fractions", ("Fraction",)),
+    ("alphabound.bounds", ("bound_report",)),
+    ("alphabound.coeffs", ("c_sequence", "clipped_sequence", "d_sequence",
+                           "render_decimal")),
+    ("alphabound.exact", ("exact_alpha",)),
+    ("alphabound.families", ("_attach_size", "_chain_size", "_pendant_cycle_size",
+                             "_random_size", "_regular_size", "attach_cliques",
+                             "chain_blocks", "cycle_with_pendants",
+                             "random_connected", "regular_blocks",
+                             "regular_template")),
+    ("alphabound.witness", ("check_clique_weighting", "clipped_weights",
+                            "peel_witness")),
+) for name in names}
+
+_cli = sys.modules[__name__]        # this module, also when run as __main__
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's machinery, which -X importtime reports
+    value = globals()[name] = getattr(__import__(_LAZY[name], fromlist=(name,)), name)
+    return value
+
 
 MAX_RANGE = 1000        # values one --delta-range may name
 MAX_DELTA = 1600        # largest degree an option may name
@@ -40,9 +65,9 @@ MAX_DIGITS = 1000       # most decimal places an option may ask for
 MAX_GEN_SIZE = 4_000_000    # most vertices plus edges one gen may build
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str):
     try:
-        return Fraction(text)
+        return _cli.Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational number: {text!r}")
 
@@ -91,16 +116,16 @@ def _parse_range(text: str) -> tuple[int, ...]:
 
 def cmd_coeffs(args) -> int:
     if args.kind == "c":
-        seq = c_sequence(args.delta)
+        seq = _cli.c_sequence(args.delta)
     elif args.kind == "d":
-        seq = d_sequence(args.delta)
+        seq = _cli.d_sequence(args.delta)
     else:
-        seq = clipped_sequence(args.delta, _parse_fraction(args.c_delta) if args.c_delta else None)
+        seq = _cli.clipped_sequence(args.delta, _parse_fraction(args.c_delta) if args.c_delta else None)
     fmt, digits = args.format
     if fmt == "rational":
         values = [str(v) for v in seq]
     else:
-        values = [render_decimal(v, digits) for v in seq]
+        values = [_cli.render_decimal(v, digits) for v in seq]
     if args.json:
         print(json.dumps({"kind": seq.kind, "delta": seq.delta, "values": values},
                          indent=2, sort_keys=True))
@@ -131,7 +156,7 @@ def _parse_format(text: str):
 # bound
 
 def _bound_rows(g: Graph, deltas: tuple[int, ...]):
-    report = bound_report(g, truncation_deltas=deltas)
+    report = _cli.bound_report(g, truncation_deltas=deltas)
     rows = [("brooks", report.brooks), ("weighted", report.weighted)]
     rows += [(f"truncated[{d}]", report.truncated[d]) for d in sorted(report.truncated)]
     rows += [("euler", report.euler), ("caro-wei", report.caro_wei)]
@@ -150,7 +175,7 @@ def cmd_bound(args) -> int:
             "m": g.m,
             "delta": delta,
             "degree_classes": {str(i): k for i, k in classes},
-            "bounds": {name: {"exact": str(v), "decimal": render_decimal(v)}
+            "bounds": {name: {"exact": str(v), "decimal": _cli.render_decimal(v)}
                        for name, v in rows},
             "best": report.best,
         }
@@ -160,7 +185,7 @@ def cmd_bound(args) -> int:
     print("degree classes: " + ", ".join(f"|V_{i}|={k}" for i, k in classes))
     width = max(len(name) for name, _ in rows)
     for name, v in rows:
-        print(f"{name.ljust(width)}  {str(v):>18}  {render_decimal(v)}")
+        print(f"{name.ljust(width)}  {str(v):>18}  {_cli.render_decimal(v)}")
     print(f"best: {report.best}")
     return 0
 
@@ -178,14 +203,14 @@ def _step_dict(step) -> dict:
 
 def _json_default(value):
     """Exact values are written as strings such as ``"7/8"``."""
-    if isinstance(value, Fraction):
+    if isinstance(value, _cli.Fraction):
         return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_witness(args) -> int:
     g = load_graph(args.graph)
-    result = peel_witness(g)
+    result = _cli.peel_witness(g)
     size = len(result.independent_set)
     if args.trace:
         head = json.dumps({
@@ -205,7 +230,7 @@ def cmd_witness(args) -> int:
         print(json.dumps({
             "size": size,
             "bound": str(result.certified_bound),
-            "bound_decimal": render_decimal(result.certified_bound),
+            "bound_decimal": _cli.render_decimal(result.certified_bound),
             "independent_set": list(result.independent_set),
             "steps": len(result.trace),
         }, indent=2, sort_keys=True))
@@ -213,7 +238,7 @@ def cmd_witness(args) -> int:
     print(f"independent set of size {size}: "
           + " ".join(str(v) for v in result.independent_set))
     print(f"certified bound: {result.certified_bound} "
-          f"(= {render_decimal(result.certified_bound)})")
+          f"(= {_cli.render_decimal(result.certified_bound)})")
     print(f"check: {size} >= {result.certified_bound}: ok")
     print(f"trace: {len(result.trace)} steps"
           + (f" written to {args.trace}" if args.trace else ""))
@@ -225,7 +250,7 @@ def cmd_witness(args) -> int:
 
 def cmd_exact(args) -> int:
     g = load_graph(args.graph)
-    result = exact_alpha(g, budget=args.budget)
+    result = _cli.exact_alpha(g, budget=args.budget)
     if args.json:
         print(json.dumps({
             "alpha": result.alpha,
@@ -242,29 +267,27 @@ def cmd_exact(args) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
-def _chain_size(d: int, k: int) -> tuple[int, int]:
-    return k * d, k * d * (d - 1) // 2 + k - 1
-
-
-def _attach_size(d: int, k: int, j: int) -> tuple[int, int]:
-    n, m = _chain_size(d, k)
-    anchors = k * d - 2 * (k - 1)       # the chain's degree-(d-1) vertices
-    return n + anchors * (j + 1), m + anchors * (j * (j + 1) // 2 + 1)
+def _family(name: str):
+    """A call of ``families.<name>`` through this module, which imports
+    ``families`` when first made."""
+    return lambda *values: getattr(_cli, name)(*values)
 
 
 # family -> (its options in header order, how many of them are required,
 # the builder taking their values in that order, and the vertex and edge
-# counts it builds from them; at most that many edges for random)
+# counts it builds from them, after the family's own argument checks; at
+# most that many edges for random)
 GENERATORS = {
     "regular-blocks": (("delta", "template-size"), 2,
-                       lambda d, k: regular_blocks(d, regular_template(d, k)),
-                       lambda d, k: (k * d, k * d * (d - 1) // 2 + k * d // 2)),
-    "chain": (("delta", "blocks"), 2, chain_blocks, _chain_size),
-    "attach": (("delta", "blocks", "clique"), 3, attach_cliques, _attach_size),
-    "pendant-cycle": (("cycle",), 1, cycle_with_pendants,
-                      lambda c: (2 * c + 1, 2 * c + 1)),
-    "random": (("vertices", "delta", "seed"), 2, random_connected,
-               lambda n, d, seed: (n, n * d // 2)),
+                       lambda d, k: _cli.regular_blocks(d, _cli.regular_template(d, k)),
+                       _family("_regular_size")),
+    "chain": (("delta", "blocks"), 2, _family("chain_blocks"), _family("_chain_size")),
+    "attach": (("delta", "blocks", "clique"), 3, _family("attach_cliques"),
+               _family("_attach_size")),
+    "pendant-cycle": (("cycle",), 1, _family("cycle_with_pendants"),
+                      _family("_pendant_cycle_size")),
+    "random": (("vertices", "delta", "seed"), 2, _family("random_connected"),
+               lambda n, d, seed: _cli._random_size(n, d)),
 }
 
 
@@ -275,8 +298,7 @@ def cmd_gen(args) -> int:
         *rest, last = [f"--{name}" for name in names[:required]]
         listed = f"{', '.join(rest)} and {last}" if rest else last
         raise ValueError(f"{args.family} needs {listed}")
-    # negative values, which every family refuses itself, count as 0
-    n, m = size(*(max(v, 0) for v in values))
+    n, m = size(*values)        # a family's refusal comes before the cap
     if n + m > MAX_GEN_SIZE:
         given = " ".join(f"--{name} {v}" for name, v in zip(names, values))
         raise ValueError(f"{args.family} {given} too large: {n} vertices and"
@@ -301,13 +323,13 @@ def cmd_verify(args) -> int:
     report, rows = _bound_rows(g, args.delta_range)
     delta = report.profile.delta_max
 
-    result = peel_witness(g)
+    result = _cli.peel_witness(g)
     size = len(result.independent_set)
     checks.append(("witness covers weighted bound",
-                   Fraction(size) >= report.weighted,
+                   size >= report.weighted,
                    f"{size} >= {report.weighted}"))
 
-    wcheck = check_clique_weighting(g, clipped_weights(g))
+    wcheck = _cli.check_clique_weighting(g, _cli.clipped_weights(g))
     checks.append(("clipped weighting satisfies clique conditions", wcheck.ok,
                    f"total {wcheck.total}" if wcheck.ok else
                    (f"vertex {wcheck.violating_vertex} over cap"
@@ -316,7 +338,7 @@ def cmd_verify(args) -> int:
 
     alpha: Optional[int] = None
     if g.n <= args.exact_threshold:
-        alpha = exact_alpha(g, budget=args.budget).alpha
+        alpha = _cli.exact_alpha(g, budget=args.budget).alpha
         for name, value in rows:
             checks.append((f"{name} bound <= alpha", value <= alpha,
                            f"{value} <= {alpha}"))
@@ -349,15 +371,15 @@ def cmd_verify(args) -> int:
 # table
 
 def cmd_table(args) -> int:
-    cs = c_sequence(args.delta)
-    ds = d_sequence(args.delta)
+    cs = _cli.c_sequence(args.delta)
+    ds = _cli.d_sequence(args.delta)
     digits = args.digits
     rows = []
     for i in range(1, args.delta + 1):
         # |c - d|: rounding is odd-symmetric, and a 0 prints unsigned
-        gap = render_decimal(cs[i] - ds[i], digits).lstrip("-")
-        rows.append((i, str(cs[i]), render_decimal(cs[i], digits),
-                     render_decimal(ds[i], digits), gap))
+        gap = _cli.render_decimal(cs[i] - ds[i], digits).lstrip("-")
+        rows.append((i, str(cs[i]), _cli.render_decimal(cs[i], digits),
+                     _cli.render_decimal(ds[i], digits), gap))
     if args.json:
         print(json.dumps([{"i": i, "c": ce, "c_decimal": cd,
                            "d_decimal": dd, "gap": gp}

@@ -17,29 +17,17 @@ neighbours, and names the branch vertex.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .graphcore import Graph
-
-DEFAULT_BUDGET = 10 ** 8
+# BudgetExceeded, DEFAULT_BUDGET and is_independent are re-exported here
+from .graphcore import (DEFAULT_BUDGET, BudgetExceeded, Graph,  # noqa: F401
+                        is_independent)
 
 
 class ExactResult(NamedTuple):
     alpha: int
     optimal_set: frozenset
     nodes_explored: int
-
-
-class BudgetExceeded(RuntimeError):
-    """Node budget exhausted.  ``best_set`` is a valid independent set of
-    size ``best_size`` but is not proven maximum."""
-
-    def __init__(self, budget: int, best_size: int, best_set: frozenset, nodes: int):
-        super().__init__(f"budget exceeded ({budget} nodes)")
-        self.budget = budget
-        self.best_size = best_size
-        self.best_set = best_set
-        self.nodes = nodes
 
 
 def _mask_to_set(mask: int) -> frozenset:
@@ -171,12 +159,3 @@ def naive_alpha(g: Graph) -> ExactResult:
             best_size, best_mask = s.bit_count(), s
     return ExactResult(best_size, _mask_to_set(best_mask), 1 << n)
 
-
-def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    vs = frozenset(s)
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        if not vs.isdisjoint(g.adj[v]):
-            return False
-    return True

@@ -17,6 +17,12 @@ The three tight families:
 ``cycle_with_pendants`` builds the cycle-with-pendant-edges example whose
 degree-1 class is one larger than its cycle, and ``random_connected`` yields
 seeded connected graphs of maximum degree exactly delta.
+
+Each family ``gen`` builds has a ``_<family>_size`` function that makes
+the family's argument checks, raising its ``ValueError``, and returns the
+vertex and edge counts it would build, so that a request can be refused
+before anything is allocated.  The builders check their arguments through
+it.
 """
 
 from __future__ import annotations
@@ -75,9 +81,8 @@ def circulant_graph(n: int, offsets: Iterable[int]) -> Graph:
     return Graph(n, ((i, (i + o) % n) for i in range(n) for o in offs))
 
 
-def regular_template(delta: int, k: int) -> Graph:
-    """A connected delta-regular graph on k vertices (circulant), for use
-    as the ``regular_blocks`` template."""
+def _regular_size(delta: int, k: int) -> tuple[int, int]:
+    """Counts of ``regular_blocks(delta, regular_template(delta, k))``."""
     if delta < 3:
         raise ValueError("template degree must be at least 3")
     if k < delta + 1:
@@ -85,6 +90,13 @@ def regular_template(delta: int, k: int) -> Graph:
     if delta % 2 == 1 and k % 2 == 1:
         raise ValueError(
             f"no {delta}-regular graph on {k} vertices: k*delta must be even")
+    return k * delta, k * delta * (delta - 1) // 2 + k * delta // 2
+
+
+def regular_template(delta: int, k: int) -> Graph:
+    """A connected delta-regular graph on k vertices (circulant), for use
+    as the ``regular_blocks`` template."""
+    _regular_size(delta, k)
     offs = list(range(1, delta // 2 + 1))
     if delta % 2 == 1:
         offs.append(k // 2)
@@ -118,13 +130,19 @@ def regular_blocks(delta: int, template: Graph) -> Graph:
     return Graph(template.n * delta, edges)
 
 
-def chain_blocks(delta: int, k: int) -> Graph:
-    """k copies of K_delta, each new copy hung by one edge off the
-    lowest-indexed vertex that still has degree delta-1."""
+def _chain_size(delta: int, k: int) -> tuple[int, int]:
+    """Counts of ``chain_blocks(delta, k)``."""
     if delta < 3:
         raise ValueError("block degree must be at least 3")
     if k < 1:
         raise ValueError("need at least one block")
+    return k * delta, k * delta * (delta - 1) // 2 + k - 1
+
+
+def chain_blocks(delta: int, k: int) -> Graph:
+    """k copies of K_delta, each new copy hung by one edge off the
+    lowest-indexed vertex that still has degree delta-1."""
+    _chain_size(delta, k)
     # the vertices of degree delta-1, in increasing order: all but a later
     # block's first, whose own hanging edge gives it degree delta; each new
     # block takes the lowest one left
@@ -138,13 +156,21 @@ def chain_blocks(delta: int, k: int) -> Graph:
     return Graph(k * delta, edges)
 
 
-def attach_cliques(delta: int, k: int, j: int) -> Graph:
-    """``chain_blocks(delta, k)`` with a K_{j+1} hung off every vertex of
-    degree delta-1, one attachment edge each."""
+def _attach_size(delta: int, k: int, j: int) -> tuple[int, int]:
+    """Counts of ``attach_cliques(delta, k, j)``."""
     if not 1 <= j <= delta - 2:
         raise ValueError(f"attachment clique parameter must be in 1..{delta - 2}")
     if k < 2:
         raise ValueError("need at least two blocks")
+    n, m = _chain_size(delta, k)
+    anchors = k * delta - 2 * (k - 1)       # the chain's degree-(delta-1) vertices
+    return n + anchors * (j + 1), m + anchors * (j * (j + 1) // 2 + 1)
+
+
+def attach_cliques(delta: int, k: int, j: int) -> Graph:
+    """``chain_blocks(delta, k)`` with a K_{j+1} hung off every vertex of
+    degree delta-1, one attachment edge each."""
+    _attach_size(delta, k, j)
     base = chain_blocks(delta, k)
     edges = list(base.edges())
     n = base.n
@@ -156,11 +182,17 @@ def attach_cliques(delta: int, k: int, j: int) -> Graph:
     return Graph(n, edges)
 
 
+def _pendant_cycle_size(n: int) -> tuple[int, int]:
+    """Counts of ``cycle_with_pendants(n)``."""
+    if n < 3:
+        raise ValueError("cycle needs at least three vertices")
+    return 2 * n + 1, 2 * n + 1
+
+
 def cycle_with_pendants(n: int) -> Graph:
     """Cycle 0..n-1 with a pendant on every cycle vertex plus a second
     pendant on vertex 0, so that no vertex has degree 2."""
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
+    _pendant_cycle_size(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
     edges.append((0, 2 * n))
@@ -173,15 +205,21 @@ def cycle_with_pendants(n: int) -> Graph:
 _ATTEMPTS = 1000                # fresh tries before random_connected gives up
 
 
-def random_connected(n: int, delta: int, seed: int) -> Graph:
-    """Seeded random connected graph with maximum degree exactly ``delta``,
-    never the complete graph on delta+1 vertices.  Deterministic per seed."""
+def _random_size(n: int, delta: int) -> tuple[int, int]:
+    """Counts of ``random_connected(n, delta, seed)``: at most that many
+    edges."""
     if delta < 3:
         raise ValueError("maximum degree must be at least 3")
     if n < delta + 1:
         raise ValueError("need n >= delta + 1")
+    return n, n * delta // 2
+
+
+def random_connected(n: int, delta: int, seed: int) -> Graph:
+    """Seeded random connected graph with maximum degree exactly ``delta``,
+    never the complete graph on delta+1 vertices.  Deterministic per seed."""
+    _, max_m = _random_size(n, delta)
     rng = random.Random(seed)
-    max_m = n * delta // 2
     for _ in range(_ATTEMPTS):
         deg = [0] * n
         edges: set[tuple[int, int]] = set()
@@ -195,17 +233,33 @@ def random_connected(n: int, delta: int, seed: int) -> Graph:
             deg[u] += 1
             deg[v] += 1
 
-        # spanning tree under the degree cap, drawing parents from the placed
-        # vertices below it in placement order (the last placed always is)
+        # spanning tree under the degree cap: each vertex's parent is drawn
+        # uniformly from the placed vertices still below the cap, indexed in
+        # placement order (the last placed always is one).  A Fenwick tree
+        # over placement positions, with a 0 at each vertex that reached the
+        # cap, finds the r-th open position in O(log n); positions not yet
+        # placed stay open but lie beyond every draw
         order = list(range(n))
         rng.shuffle(order)
-        parents = order[:1]
-        for v in order[1:]:
-            u = rng.choice(parents)
-            add(u, v)
+        tree = [i & -i for i in range(n + 1)]      # every position open
+        high = 1 << (n.bit_length() - 1)
+        closed = 0
+        for p in range(1, n):
+            r = rng.randrange(p - closed)       # draws as rng.choice would
+            pos, step = 0, high
+            while step:
+                if pos + step <= n and tree[pos + step] <= r:
+                    pos += step
+                    r -= tree[pos]
+                step >>= 1
+            u = order[pos]
+            add(u, order[p])
             if deg[u] == delta:
-                parents.remove(u)
-            parents.append(v)
+                closed += 1
+                pos += 1                        # position pos closes
+                while pos <= n:
+                    tree[pos] -= 1
+                    pos += pos & -pos
         # densify toward a random target size
         m_target = rng.randint(n - 1, max_m)
         for _ in range(10 * max_m):

@@ -1,4 +1,5 @@
-"""Immutable simple graphs, degree classes, and graph file formats.
+"""Immutable simple graphs, degree classes, graph file formats, and the
+errors every command may report.
 
 Vertices are dense integers 0..n-1.  Inputs whose vertex numbers are sparse
 or 1-based are renumbered on ingestion, in increasing order.  Deletion is
@@ -15,6 +16,29 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 class ParseError(ValueError):
     """Malformed graph file; the message names the offending line."""
+
+
+# The errors below belong to the witness and the exact solver, which
+# re-export them.  They live here so that the command line can map them to
+# exit codes without importing either module.
+
+class CertificationError(RuntimeError):
+    """An internal soundness check failed while building a witness."""
+
+
+DEFAULT_BUDGET = 10 ** 8        # exact search nodes before BudgetExceeded
+
+
+class BudgetExceeded(RuntimeError):
+    """Node budget exhausted.  ``best_set`` is a valid independent set of
+    size ``best_size`` but is not proven maximum."""
+
+    def __init__(self, budget: int, best_size: int, best_set: frozenset, nodes: int):
+        super().__init__(f"budget exceeded ({budget} nodes)")
+        self.budget = budget
+        self.best_size = best_size
+        self.best_set = best_set
+        self.nodes = nodes
 
 
 class Graph:
@@ -134,6 +158,16 @@ def require_in_class(g: Graph) -> int:
         raise ValueError(
             f"not in class: graph is the complete graph on {g.n} vertices")
     return delta
+
+
+def is_independent(g: Graph, s: Iterable[int]) -> bool:
+    vs = frozenset(s)
+    for v in vs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+        if not vs.isdisjoint(g.adj[v]):
+            return False
+    return True
 
 
 def _bfs(g: Graph, sources: Iterable[int],

@@ -36,12 +36,9 @@ from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
 
 from .bounds import c_bound
 from .coeffs import c_sequence, clipped_sequence
-from .exact import is_independent
-from .graphcore import Graph, _bfs, components_within, require_in_class
-
-
-class CertificationError(RuntimeError):
-    """An internal soundness check failed while building a witness."""
+# CertificationError is re-exported here
+from .graphcore import (CertificationError, Graph, _bfs, components_within,
+                        is_independent, require_in_class)
 
 
 def _check(cond: bool, msg: str) -> None:

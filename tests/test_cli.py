@@ -279,9 +279,28 @@ def test_gen_refuses_oversize_before_building(argv, capsys):
 
 
 def test_gen_negative_values_keep_the_family_refusal(capsys):
-    # negative values count as 0 toward the cap; the family refuses them
+    # the family refuses negative values before any size is worked out
     code, out, err = run(capsys, "gen", "chain", "--delta", "-100000", "--blocks", "2")
     assert (code, out, err) == (2, "", "error: block degree must be at least 3\n")
+
+
+# stderr of gen requests over the size cap that their family refuses: the
+# family's own message, not the size message
+GEN_REFUSED_OVER_CAP = {
+    ("chain", "--delta", "2", "--blocks", "10000000"):
+        "error: block degree must be at least 3\n",
+    ("attach", "--delta", "3", "--blocks", "10000000", "--clique", "5"):
+        "error: attachment clique parameter must be in 1..1\n",
+    ("regular-blocks", "--delta", "3", "--template-size", "10000001"):
+        "error: no 3-regular graph on 10000001 vertices: k*delta must be even\n",
+    ("random", "--vertices", "100000000", "--delta", "2"):
+        "error: maximum degree must be at least 3\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_REFUSED_OVER_CAP))
+def test_gen_family_refusal_comes_before_the_size_cap(argv, capsys):
+    assert run(capsys, "gen", *argv) == (2, "", GEN_REFUSED_OVER_CAP[argv])
 
 
 @pytest.mark.parametrize("family, values", [

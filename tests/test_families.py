@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -212,6 +213,62 @@ def test_random_connected_output_pinned():
             for seed in range(25):
                 h.update(repr(random_connected(n, delta, seed).adj).encode())
     assert h.hexdigest() == "4ed108e4933c9cfcaceca5ddd9a4fbeacf01e440710cd1ebb233ecf87dea502d"
+
+
+def reference_random_connected(n, delta, seed):
+    """random_connected as it was with a list of open parents, which
+    ``parents.remove`` scans: the reference for the Fenwick-tree draw."""
+    rng = random.Random(seed)
+    max_m = n * delta // 2
+    for _ in range(1000):
+        deg = [0] * n
+        edges = set()
+
+        def addable(u, v):
+            return (u != v and deg[u] < delta and deg[v] < delta
+                    and (min(u, v), max(u, v)) not in edges)
+
+        def add(u, v):
+            edges.add((min(u, v), max(u, v)))
+            deg[u] += 1
+            deg[v] += 1
+
+        order = list(range(n))
+        rng.shuffle(order)
+        parents = order[:1]
+        for v in order[1:]:
+            u = rng.choice(parents)
+            add(u, v)
+            if deg[u] == delta:
+                parents.remove(u)
+            parents.append(v)
+        m_target = rng.randint(n - 1, max_m)
+        for _ in range(10 * max_m):
+            if len(edges) >= m_target:
+                break
+            u, v = rng.randrange(n), rng.randrange(n)
+            if addable(u, v):
+                add(u, v)
+        u = max(range(n), key=lambda t: (deg[t], -t))
+        while deg[u] < delta:
+            cands = [v for v in range(n) if addable(u, v)]
+            if not cands:
+                break
+            add(u, rng.choice(cands))
+        g = Graph(n, edges)
+        if is_in_class(g, delta):
+            return g
+    raise ValueError("no graph")
+
+
+def test_random_connected_matches_list_reference():
+    # sizes on both sides of each power of two, where the Fenwick descent
+    # changes its number of steps; 1080 graphs
+    for delta in range(3, 9):
+        for n in (delta + 1, delta + 2, 15, 16, 17, 63, 64, 65, 300):
+            for seed in range(20):
+                assert (random_connected(n, delta, seed)
+                        == reference_random_connected(n, delta, seed)), (n, delta, seed)
 
 
 def test_random_connected_validation():
