@@ -51,6 +51,8 @@ CLIQUE_TESTS = ("tests/test_witness.py::test_maximal_cliques_match_brute_force",
 
 SHARE_TESTS = ("tests/test_witness.py::test_witness_share_identity_exact",)
 
+EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration",)
+
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
            "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
@@ -125,6 +127,18 @@ MUTANTS = [
            "(lo > 0) - (hi < 0)", "(lo >= 0) - (hi < 0)",
            ("tests/test_coeffs.py::test_euler_linear_comparisons_follow_the_sign",
             "tests/test_coeffs.py::test_euler_linear_sign_consistent_with_float")),
+    Mutant("exact-cover-prunes-one-early", "src/alphabound/exact.py",
+           "size + len(cliques) <= best_size", "size + len(cliques) - 1 <= best_size",
+           EXACT_TESTS),
+    Mutant("exact-cover-joins-any-earlier", "src/alphabound/exact.py",
+           "if idx < first and not cliques[idx] & ~cm:", "if idx < first:",
+           EXACT_TESTS),
+    Mutant("exact-simplicial-first-neighbour", "src/alphabound/exact.py",
+           "cc ^= ul\n                if cm", "cc = 0\n                if cm",
+           EXACT_TESTS),
+    Mutant("exact-branch-last-max-degree", "src/alphabound/exact.py",
+           "if d > bd:", "if d >= bd:",
+           ("tests/test_exact.py::test_search_order_pinned",)),
 ]
 
 

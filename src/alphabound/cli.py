@@ -22,40 +22,23 @@ import os
 import sys
 from typing import Optional
 
-# the per-layer benchmark patches degree_profile and require_in_class on this module
-from .graphcore import (DEFAULT_BUDGET, BudgetExceeded,  # noqa: F401
-                        CertificationError, Graph, _number, degree_profile,
-                        load_graph, require_in_class, write_edge_list)
-
-# Library names that only some commands use, by module.  Each is imported
-# on first access through __getattr__ below and then kept as an attribute
-# of this module, where the tests and the per-layer benchmark replace it;
-# the commands call them through _cli, so a replacement sees every call.
-# A job thus compiles only the modules its command runs: without bytecode
-# caching, every job compiles each module it imports from source.
-_LAZY = {name: module for module, names in (
-    ("fractions", ("Fraction",)),
-    ("alphabound.bounds", ("bound_report",)),
-    ("alphabound.coeffs", ("c_sequence", "clipped_sequence", "d_sequence",
-                           "render_decimal")),
-    ("alphabound.exact", ("exact_alpha",)),
-    ("alphabound.families", ("_attach_size", "_chain_size", "_pendant_cycle_size",
-                             "_random_size", "_regular_size", "attach_cliques",
-                             "chain_blocks", "cycle_with_pendants",
-                             "random_connected", "regular_blocks",
-                             "regular_template")),
-    ("alphabound.witness", ("check_clique_weighting", "clipped_weights",
-                            "peel_witness")),
-) for name in names}
+from .graphcore import (DEFAULT_BUDGET, BudgetExceeded, CertificationError,
+                        Graph, _number, load_graph, write_edge_list)
 
 _cli = sys.modules[__name__]        # this module, also when run as __main__
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    # a library name or submodule that only some commands use, resolved
+    # through the package on first access, so a job compiles only the
+    # modules its command runs.  It is then kept here, where the tests and
+    # the per-layer benchmark replace it; the commands call through _cli,
+    # so a replacement sees every call.  The package's private and dunder
+    # names (its __path__, say) are not this module's
+    package = sys.modules[__package__]
+    if name.startswith("_") or name not in dir(package):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # an import statement's machinery, which -X importtime reports
-    value = globals()[name] = getattr(__import__(_LAZY[name], fromlist=(name,)), name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -66,8 +49,9 @@ MAX_GEN_SIZE = 4_000_000    # most vertices plus edges one gen may build
 
 
 def _parse_fraction(text: str):
+    from fractions import Fraction
     try:
-        return _cli.Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a rational number: {text!r}")
 
@@ -115,6 +99,8 @@ def _parse_range(text: str) -> tuple[int, ...]:
 # coeffs
 
 def cmd_coeffs(args) -> int:
+    if args.c_delta is not None and args.kind != "clipped":
+        raise ValueError("--c-delta needs --kind clipped")
     if args.kind == "c":
         seq = _cli.c_sequence(args.delta)
     elif args.kind == "d":
@@ -136,6 +122,18 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _digit_count(digits: int) -> int:
+    """``digits`` as decimal places: positive, and at most MAX_DIGITS."""
+    if digits < 1:
+        raise argparse.ArgumentTypeError("digit count must be positive")
+    return _at_most(MAX_DIGITS, "digit count", digits)
+
+
+def _parse_digits(text: str) -> int:
+    """argparse type: an :func:`_integer` that is a :func:`_digit_count`."""
+    return _digit_count(_integer(text))
+
+
 def _parse_format(text: str):
     if text == "rational":
         return "rational", None
@@ -146,9 +144,7 @@ def _parse_format(text: str):
                 digits = _number(text.partition(":")[2])
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad digit count in {text!r}")
-        if digits < 1:
-            raise argparse.ArgumentTypeError("digit count must be positive")
-        return "decimal", _at_most(MAX_DIGITS, "digit count", digits)
+        return "decimal", _digit_count(digits)
     raise argparse.ArgumentTypeError(f"unknown format {text!r}; use rational or decimal[:N]")
 
 
@@ -203,7 +199,8 @@ def _step_dict(step) -> dict:
 
 def _json_default(value):
     """Exact values are written as strings such as ``"7/8"``."""
-    if isinstance(value, _cli.Fraction):
+    from fractions import Fraction
+    if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -268,9 +265,9 @@ def cmd_exact(args) -> int:
 # gen
 
 def _family(name: str):
-    """A call of ``families.<name>`` through this module, which imports
-    ``families`` when first made."""
-    return lambda *values: getattr(_cli, name)(*values)
+    """A call of ``families.<name>``, which imports ``families`` when first
+    made."""
+    return lambda *values: getattr(_cli.families, name)(*values)
 
 
 # family -> (its options in header order, how many of them are required,
@@ -287,7 +284,7 @@ GENERATORS = {
     "pendant-cycle": (("cycle",), 1, _family("cycle_with_pendants"),
                       _family("_pendant_cycle_size")),
     "random": (("vertices", "delta", "seed"), 2, _family("random_connected"),
-               lambda n, d, seed: _cli._random_size(n, d)),
+               lambda n, d, seed: _cli.families._random_size(n, d)),
 }
 
 
@@ -452,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("table", help="c- and d-coefficients side by side")
     pt.add_argument("--delta", type=delta_type, required=True)
-    pt.add_argument("--digits", type=_bounded_int(MAX_DIGITS, "digit count"), default=12)
+    pt.add_argument("--digits", type=_parse_digits, default=12)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)
 

@@ -168,6 +168,11 @@ OPTION_ERRORS = {
     ("table", "--delta", "5", "--digits", "100000000"):
         (2, "alphabound table: error: argument --digits: "
             "digit count too large: 100000000 (at most 1000)"),
+    # below 1 too, before either sequence is built
+    ("table", "--delta", "5", "--digits", "0"):
+        (2, "alphabound table: error: argument --digits: digit count must be positive"),
+    ("table", "--delta", "5", "--digits", "-2"):
+        (2, "alphabound table: error: argument --digits: digit count must be positive"),
     ("coeffs", "--delta", "5", "--format", "decimal:100000000"):
         (2, "alphabound coeffs: error: argument --format: "
             "digit count too large: 100000000 (at most 1000)"),
@@ -204,6 +209,13 @@ OPTION_ERRORS = {
             "unknown format 'hex'; use rational or decimal[:N]"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"):
         (2, "error: not a rational number: 'x'"),
+    # a tail value only the clipped kind reads is refused, not ignored
+    ("coeffs", "--delta", "5", "--kind", "c", "--c-delta", "1/9"):
+        (2, "error: --c-delta needs --kind clipped"),
+    ("coeffs", "--delta", "5", "--kind", "d", "--c-delta", "1/9"):
+        (2, "error: --c-delta needs --kind clipped"),
+    ("coeffs", "--delta", "5", "--c-delta", "1/9"):
+        (2, "error: --c-delta needs --kind clipped"),
 }
 
 

@@ -95,3 +95,22 @@ def test_each_command_imports_only_what_it_runs(argv, tmp_path):
                 if line.startswith("import time:")}
     assert RUNS[argv[0]] in imported
     assert sorted(imported & set(LEFT_OUT[argv])) == []
+
+
+def test_tracer_patch_points_resolve(monkeypatch):
+    # perfbench/traced.py wraps library names on cli, bounds and witness,
+    # which cli resolves through the package on first access.  Recording the
+    # patches installs none of them, and fails if a name no longer resolves
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    for name in ("traced", "check", "corpus"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import traced
+    tracer = traced.Tracer()
+    traced._instrument(tracer)
+    assert len(tracer._patches) == 15
+    cli = alphabound.cli
+    for module, attr, original, _ in tracer._patches:
+        assert getattr(module, attr) is original, attr
+        if module is cli:
+            assert original is getattr(alphabound, attr), attr
+    assert not hasattr(cli, "no_such_name")
