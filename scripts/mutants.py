@@ -84,23 +84,21 @@ MUTANTS = [
     Mutant("clique-empty-root", "src/alphabound/witness.py",
            "if g.n:", "if True:",
            ("tests/test_witness.py::test_maximal_cliques_known",)),
-    Mutant("handoff-current-degree", "src/alphabound/witness.py",
-           "weight[before[y]] - weight[deg[y]]", "weight[deg[y]] - weight[deg[y]]",
-           SHARE_TESTS),
-    Mutant("handoff-correction-dropped", "src/alphabound/witness.py",
-           "\n                    + sum([weight[before[y]] - weight[deg[y]] "
-           "for y in seeds if y in part])", "", SHARE_TESTS),
-    Mutant("handoff-correction-unscoped", "src/alphabound/witness.py",
-           "for y in seeds if y in part]", "for y in seeds]",
+    Mutant("isolated-keeps-a-neighbour", "src/alphabound/witness.py",
+           "lost[y] == deg[y]", "lost[y] == deg[y] - 1", SHARE_TESTS),
+    Mutant("degree-drops-by-one", "src/alphabound/witness.py",
+           "deg[y] -= lost[y]", "deg[y] -= 1",
            ("tests/test_witness.py::test_witness_ledger_recomputed_independently",)),
+    Mutant("seeds-include-isolated", "src/alphabound/witness.py",
+           "[y for y in lost if lost[y] < deg[y]]", "list(lost)", SHARE_TESTS),
     Mutant("peel-pick-any-upward", "src/alphabound/witness.py",
            "if deg[w] == dmax:", "if deg[w] > dmin:",
            ("tests/test_witness.py::test_peel_steps_match_public_calls_and_reference",)),
     Mutant("components-one-seed-short", "src/alphabound/graphcore.py",
            "if not pending:", "if len(pending) <= 1:",
            ("tests/test_graph.py::test_seeded_components_match_unseeded",)),
-    Mutant("isolated-current-degree", "src/alphabound/witness.py",
-           "weight[before[y]] for y in isolated", "weight[deg[y]] for y in isolated",
+    Mutant("isolated-share-after-drop", "src/alphabound/witness.py",
+           "weight[deg[y]] for y in isolated", "weight[deg[y] - lost[y]] for y in isolated",
            SHARE_TESTS),
     Mutant("chain-first-vertex-free", "src/alphabound/families.py",
            "v == 0 or v % delta", "v % delta",
@@ -134,7 +132,7 @@ MUTANTS = [
            "if idx < first and not cliques[idx] & ~cm:", "if idx < first:",
            EXACT_TESTS),
     Mutant("exact-simplicial-first-neighbour", "src/alphabound/exact.py",
-           "cc ^= ul\n                if cm", "cc = 0\n                if cm",
+           "cc ^= ul\n                if cc", "cc = 0\n                if cc",
            EXACT_TESTS),
     Mutant("exact-branch-last-max-degree", "src/alphabound/exact.py",
            "if d > bd:", "if d >= bd:",

@@ -56,6 +56,13 @@ def _parse_fraction(text: str):
         raise ValueError(f"not a rational number: {text!r}")
 
 
+def _positive(what: str, value: int) -> int:
+    """``value``, refused before any use if it is below 1."""
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} must be positive")
+    return value
+
+
 def _at_most(cap: int, what: str, value: int) -> int:
     """``value``, refused before any use if it is above ``cap``."""
     if value > cap:
@@ -124,14 +131,17 @@ def cmd_coeffs(args) -> int:
 
 def _digit_count(digits: int) -> int:
     """``digits`` as decimal places: positive, and at most MAX_DIGITS."""
-    if digits < 1:
-        raise argparse.ArgumentTypeError("digit count must be positive")
-    return _at_most(MAX_DIGITS, "digit count", digits)
+    return _at_most(MAX_DIGITS, "digit count", _positive("digit count", digits))
 
 
 def _parse_digits(text: str) -> int:
     """argparse type: an :func:`_integer` that is a :func:`_digit_count`."""
     return _digit_count(_integer(text))
+
+
+def _parse_budget(text: str) -> int:
+    """argparse type: an :func:`_integer` search node budget of at least 1."""
+    return _positive("budget", _integer(text))
 
 
 def _parse_format(text: str):
@@ -286,19 +296,30 @@ GENERATORS = {
     "random": (("vertices", "delta", "seed"), 2, _family("random_connected"),
                lambda n, d, seed: _cli.families._random_size(n, d)),
 }
+GEN_OPTIONS = tuple(dict.fromkeys(n for names, *_ in GENERATORS.values() for n in names))
+
+
+def _listed(options, conjunction: str) -> str:
+    """``--a, --b and --c`` for the option names given."""
+    *rest, last = [f"--{name}" for name in options]
+    return f"{', '.join(rest)} {conjunction} {last}" if rest else last
 
 
 def cmd_gen(args) -> int:
     names, required, build, size = GENERATORS[args.family]
-    values = [getattr(args, name.replace("-", "_")) for name in names]
+    given = {name: getattr(args, name.replace("-", "_")) for name in GEN_OPTIONS}
+    foreign = [name for name in GEN_OPTIONS if name not in names and given[name] is not None]
+    if foreign:
+        raise ValueError(f"{args.family} does not take {_listed(foreign, 'or')}")
+    values = [given[name] for name in names]
     if None in values[:required]:
-        *rest, last = [f"--{name}" for name in names[:required]]
-        listed = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"{args.family} needs {listed}")
+        raise ValueError(f"{args.family} needs {_listed(names[:required], 'and')}")
+    # the one optional value, random's seed, is 0 when omitted
+    values = [0 if v is None else v for v in values]
     n, m = size(*values)        # a family's refusal comes before the cap
     if n + m > MAX_GEN_SIZE:
-        given = " ".join(f"--{name} {v}" for name, v in zip(names, values))
-        raise ValueError(f"{args.family} {given} too large: {n} vertices and"
+        spelled = " ".join(f"--{name} {v}" for name, v in zip(names, values))
+        raise ValueError(f"{args.family} {spelled} too large: {n} vertices and"
                          f" {m} edges (at most {MAX_GEN_SIZE} in all)")
     header = " ".join([f"gen {args.family}",
                        *(f"{name}={v}" for name, v in zip(names, values))])
@@ -426,15 +447,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exact independence number")
     pe.add_argument("graph")
-    pe.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET,
+    pe.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
                     help=f"search node budget (default {DEFAULT_BUDGET})")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_exact)
 
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
     pg.add_argument("family", choices=tuple(GENERATORS))
-    for name in dict.fromkeys(n for names, *_ in GENERATORS.values() for n in names):
-        pg.add_argument(f"--{name}", type=_integer, default=0 if name == "seed" else None)
+    for name in GEN_OPTIONS:
+        pg.add_argument(f"--{name}", type=_integer)
     pg.add_argument("-o", "--output")
     pg.set_defaults(func=cmd_gen)
 
@@ -443,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--delta-range", type=_parse_range, default=())
     pv.add_argument("--exact-threshold", type=_integer, default=30,
                     help="run the exact solver when n is at most this")
-    pv.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 

@@ -81,10 +81,11 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             low = unknown & -unknown
             cm = nbr[low.bit_length() - 1] & mask
             cc = cm
+            # each non-adjacent pair in N(low) is caught from its lower member
             while cc:
                 ul = cc & -cc
                 cc ^= ul
-                if cm & ~(nbr[ul.bit_length() - 1] | ul):
+                if cc & ~nbr[ul.bit_length() - 1]:
                     unknown ^= low          # not simplicial
                     break
             else:

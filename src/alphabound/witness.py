@@ -29,6 +29,7 @@ independence number.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import lcm
@@ -199,28 +200,21 @@ def peel_witness(g: Graph) -> WitnessResult:
         _check(share <= scale, "peel share exceeds one")
         closed = (u, *nbrs)
         alive.difference_update(closed)
-        # delete N[u]: only the surviving neighbors of deleted vertices lose
-        # degree; keep their degrees in the parent piece for the handoffs
-        before: dict[int, int] = {}
-        for x in closed:
-            for y in g.adj[x]:
-                if y in alive:
-                    before.setdefault(y, deg[y])
-                    deg[y] -= 1
-        isolated = sorted(y for y in before if deg[y] == 0)
-        iso_share = sum([weight[before[y]] for y in isolated])
+        # deleting N[u] takes lost[y] neighbors from each survivor y next to
+        # it; every weight of the step is read at the piece's own degrees,
+        # which drop only once the step is booked
+        lost = Counter(y for x in closed for y in g.adj[x] if y in alive)
+        isolated = sorted(y for y in lost if lost[y] == deg[y])
+        iso_share = sum([weight[deg[y]] for y in isolated])
         # every surviving component touches N[u] (the piece was connected),
-        # so the non-isolated vertices that lost degree meet each of them
-        seeds = [y for y in before if deg[y]]
-        parts = components_within(g, set(piece).difference(closed, isolated), seeds)
-        comps = [tuple(sorted(c)) for c in parts]
-        # each handoff sums its whole component at current degrees, then
-        # restores the parent-piece degree of the seeds inside it
-        handoffs = [sum(map(weight.__getitem__, map(deg.__getitem__, c)))
-                    + sum([weight[before[y]] - weight[deg[y]] for y in seeds if y in part])
-                    for c, part in zip(comps, parts)]
+        # so the survivors that keep a neighbor meet each of them
+        comps = [tuple(sorted(c)) for c in components_within(
+            g, set(piece).difference(closed, isolated), [y for y in lost if lost[y] < deg[y]])]
+        handoffs = [sum(map(weight.__getitem__, map(deg.__getitem__, c))) for c in comps]
         _check(target == share + iso_share + sum(handoffs),
                "weight accounting mismatch")
+        for y in lost:
+            deg[y] -= lost[y]
         trace.append(PeelStep(u, deg[u], nbrs, tuple(isolated), tuple(comps),
                               Fraction(share, scale), Fraction(iso_share, scale),
                               tuple(Fraction(h, scale) for h in handoffs),

@@ -144,6 +144,13 @@ OPTION_ERRORS = {
         (2, "error: pendant-cycle needs --cycle"),
     ("gen", "random", "--delta", "4"):
         (2, "error: random needs --vertices and --delta"),
+    # an option the family does not take is refused, not ignored
+    ("gen", "pendant-cycle", "--cycle", "5", "--delta", "4"):
+        (2, "error: pendant-cycle does not take --delta"),
+    ("gen", "chain", "--delta", "4", "--blocks", "2", "--seed", "5"):
+        (2, "error: chain does not take --seed"),
+    ("gen", "random", "--vertices", "6", "--delta", "3", "--cycle", "9"):
+        (2, "error: random does not take --cycle"),
     ("bound", "missing.txt", "--delta-range", "7..5"):
         (2, "alphabound bound: error: argument --delta-range: "
             "empty range: '7..5'"),
@@ -195,6 +202,12 @@ OPTION_ERRORS = {
         (2, "alphabound gen: error: argument --cycle: invalid int value: '1_0'"),
     ("exact", "missing.txt", "--budget", "+5"):
         (2, "alphabound exact: error: argument --budget: invalid int value: '+5'"),
+    # a budget below 1 is refused before the graph is read, and also when
+    # verify would not run the exact solver
+    ("exact", "missing.txt", "--budget", "0"):
+        (2, "alphabound exact: error: argument --budget: budget must be positive"),
+    ("verify", "missing.txt", "--budget", "0", "--exact-threshold", "0"):
+        (2, "alphabound verify: error: argument --budget: budget must be positive"),
     ("verify", "missing.txt", "--exact-threshold", "\u0663"):
         (2, "alphabound verify: error: argument --exact-threshold: "
             "invalid int value: '\u0663'"),

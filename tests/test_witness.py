@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -99,7 +100,9 @@ def members_in_any_numbering(draw):
 def test_peel_steps_match_public_calls_and_reference(g):
     """At every peel step, the pick made from the peel's own state equals
     the public call's and the reference search's, and the seeded split
-    equals the unseeded one."""
+    equals the unseeded one.  The peel's closure "rec" makes one split per
+    step, which returns that step's components: perfbench/traced.py reads
+    the pieces from these calls."""
     picks, splits = [], []
 
     def pick(graph, active, state):
@@ -107,18 +110,22 @@ def test_peel_steps_match_public_calls_and_reference(g):
         return picks[-1][1]
 
     def split(graph, active, seeds):
-        splits.append((active, components_within(graph, active, seeds)))
-        return splits[-1][1]
+        parts = components_within(graph, active, seeds)
+        splits.append((sys._getframe(1).f_code.co_name, active, parts))
+        return parts
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(witness, "select_peel_vertex", pick)
         mp.setattr(witness, "components_within", split)
         r = peel_witness(g)
-    assert [u for _, u in picks] == [s.vertex for s in r.trace if isinstance(s, PeelStep)]
+    steps = [s for s in r.trace if isinstance(s, PeelStep)]
+    assert [u for _, u in picks] == [s.vertex for s in steps]
     for piece, u in picks:
         assert select_peel_vertex(g, piece) == u == reference_select(g, piece)
-    for active, parts in splits:
+    for _, active, parts in splits:
         assert components_within(g, active) == parts
+    assert [set(parts) for caller, _, parts in splits if caller == "rec"] == \
+        [set(map(frozenset, s.components)) for s in steps]
 
 
 def test_selected_vertex_has_an_upward_neighbor():
