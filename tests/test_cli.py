@@ -128,8 +128,8 @@ GEN_PINNED = {
 @pytest.mark.parametrize("argv", sorted(GEN_PINNED))
 def test_gen_output_pinned(argv, capsys):
     code, out, err = run_to_exit(capsys, "gen", *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == GEN_PINNED[argv]
+    assert (code, err) == (0, ""), " ".join(argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_PINNED[argv], " ".join(argv)
 
 
 # exit code and last stderr line of each refused invocation
@@ -235,8 +235,8 @@ OPTION_ERRORS = {
 @pytest.mark.parametrize("argv", sorted(OPTION_ERRORS))
 def test_option_errors_pinned(argv, capsys):
     code, out, err = run_to_exit(capsys, *argv)
-    assert out == "" and "Traceback" not in err
-    assert (code, err.splitlines()[-1]) == OPTION_ERRORS[argv]
+    assert out == "" and "Traceback" not in err, " ".join(argv)
+    assert (code, err.splitlines()[-1]) == OPTION_ERRORS[argv], " ".join(argv)
 
 
 def test_delta_range_limit():
@@ -299,8 +299,8 @@ def test_gen_refuses_oversize_before_building(argv, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out, err) == (2, "", GEN_TOO_LARGE[argv])
-    assert peak < 1e6
+    assert (code, out, err) == (2, "", GEN_TOO_LARGE[argv]), " ".join(argv)
+    assert peak < 1e6, " ".join(argv)
 
 
 def test_gen_negative_values_keep_the_family_refusal(capsys):
@@ -325,7 +325,7 @@ GEN_REFUSED_OVER_CAP = {
 
 @pytest.mark.parametrize("argv", sorted(GEN_REFUSED_OVER_CAP))
 def test_gen_family_refusal_comes_before_the_size_cap(argv, capsys):
-    assert run(capsys, "gen", *argv) == (2, "", GEN_REFUSED_OVER_CAP[argv])
+    assert run(capsys, "gen", *argv) == (2, "", GEN_REFUSED_OVER_CAP[argv]), " ".join(argv)
 
 
 @pytest.mark.parametrize("family, values", [
@@ -747,8 +747,8 @@ TABLE_PINNED = {
 @pytest.mark.parametrize("argv", sorted(TABLE_PINNED))
 def test_table_output_pinned(argv, capsys):
     code, out, err = run(capsys, "table", *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_PINNED[argv]
+    assert (code, err) == (0, ""), " ".join(argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_PINNED[argv], " ".join(argv)
 
 
 def test_dimacs_input_accepted(tmp_path, capsys):
