@@ -53,6 +53,8 @@ SHARE_TESTS = ("tests/test_witness.py::test_witness_share_identity_exact",)
 
 EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration",)
 
+PARSE_TESTS = ("tests/test_graph.py::test_parse_error_messages_unchanged",)
+
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
            "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
@@ -137,6 +139,33 @@ MUTANTS = [
     Mutant("exact-branch-last-max-degree", "src/alphabound/exact.py",
            "if d > bd:", "if d >= bd:",
            ("tests/test_exact.py::test_search_order_pinned",)),
+    *[Mutant(f"peel-check-{case}-off", "src/alphabound/witness.py",
+             f"_check({cond},", "_check(True,",
+             (f"tests/test_witness.py::test_peel_checks_refuse_scaled_weights[{case}]",))
+      for case, cond in [("owed", "owed <= target"), ("complete", "owed <= scale"),
+                         ("share", "share <= scale"),
+                         ("regular", "len(taken) * scale >= target"),
+                         ("whole", "owed.denominator == 1")]],
+    Mutant("limit-positive-zero", "src/alphabound/cli.py",
+           "value < 1", "value < 0",
+           ("tests/test_cli.py::test_option_errors_pinned",)),
+    Mutant("limit-cap-inclusive", "src/alphabound/cli.py",
+           "value > cap", "value >= cap",
+           ("tests/test_cli.py::test_size_caps_refuse_before_allocating",)),
+    Mutant("edge-negative-first-only", "src/alphabound/graphcore.py",
+           "if u < 0 or v < 0:", "if u < 0:", PARSE_TESTS),
+    Mutant("dimacs-range-from-zero", "src/alphabound/graphcore.py",
+           "1 <= u", "0 <= u", PARSE_TESTS),
+    Mutant("dimacs-duplicate-header", "src/alphabound/graphcore.py",
+           "if n is not None:", "if False:", PARSE_TESTS),
+    Mutant("sniff-no-comment-lines", "src/alphabound/graphcore.py",
+           '("p", "c", "e")', '("p", "e")', PARSE_TESTS),
+    Mutant("number-digit-cap", "src/alphabound/graphcore.py",
+           "<= _MAX_DIGITS", "<= 2 * _MAX_DIGITS",
+           ("tests/test_graph.py::test_long_numbers_refused_whatever_the_digit_limit",)),
+    Mutant("utf8-line-no-stand-in", "src/alphabound/graphcore.py",
+           '.decode("utf-8") + "?"', '.decode("utf-8")',
+           ("tests/test_cli.py::test_undecodable_input_names_file_and_line",)),
 ]
 
 

@@ -68,6 +68,14 @@ OTHER_INVOCATIONS = [
     ["coeffs", "--delta", "4", "--format", "decimal:x"],
     ["coeffs", "--delta", "4", "--format", "hex"],
     ["coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"],
+    ["table", "--delta", "5", "--digits", "0"],
+    ["table", "--delta", "5", "--digits", "1001"],
+    ["coeffs", "--delta", "1601"],
+    ["coeffs", "--delta", "1_0"],
+    ["exact", "missing.txt", "--budget", "0"],
+    ["verify", "missing.txt", "--exact-threshold", "x"],
+    ["gen", "pendant-cycle", "--cycle", "+5"],
+    ["bound", "missing.txt", "--delta-range", "1599..1601"],
     ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/7"],
     ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/2"],
     *[["coeffs", "--delta", "6", "--kind", kind, "--format", fmt]

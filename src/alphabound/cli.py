@@ -49,40 +49,39 @@ MAX_GEN_SIZE = 4_000_000    # most vertices plus edges one gen may build
 
 
 def _parse_fraction(text: str):
+    """``A`` or ``A/B`` with B at least 1, each part a number token as
+    graph files spell them."""
     from fractions import Fraction
+    a, sep, b = text.partition("/")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        a, b = _number(a), _number(b) if sep else 1
+        if b < 1:
+            raise ValueError(b)
+    except ValueError:
         raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(a, b)
 
 
-def _positive(what: str, value: int) -> int:
-    """``value``, refused before any use if it is below 1."""
-    if value < 1:
+def _limit(value: int, what: str, cap: Optional[int] = None,
+           positive: bool = False) -> int:
+    """``value``, refused before any use if ``positive`` and it is below 1,
+    or if it is above ``cap``."""
+    if positive and value < 1:
         raise argparse.ArgumentTypeError(f"{what} must be positive")
-    return value
-
-
-def _at_most(cap: int, what: str, value: int) -> int:
-    """``value``, refused before any use if it is above ``cap``."""
-    if value > cap:
+    if cap is not None and value > cap:
         raise argparse.ArgumentTypeError(f"{what} too large: {value} (at most {cap})")
     return value
 
 
-def _integer(text: str) -> int:
+def _int_type(what: str = "", cap: Optional[int] = None, positive: bool = False):
     """argparse type: an int spelled as graph files spell vertex numbers,
-    ASCII digits after an optional ``-``."""
-    try:
-        return _number(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
-def _bounded_int(cap: int, what: str):
-    """argparse type: an :func:`_integer` of at most ``cap``."""
+    ASCII digits after an optional ``-``, then :func:`_limit`-ed."""
     def parse(text: str) -> int:
-        return _at_most(cap, what, _integer(text))
+        try:
+            value = _number(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return _limit(value, what, cap, positive)
     return parse
 
 
@@ -99,7 +98,7 @@ def _parse_range(text: str) -> tuple[int, ...]:
     if b - a >= MAX_RANGE:      # refuse before the tuple is built
         raise argparse.ArgumentTypeError(
             f"range too long: {text!r} (at most {MAX_RANGE} values)")
-    return tuple(range(a, _at_most(MAX_DELTA, "degree", b) + 1))
+    return tuple(range(a, _limit(b, "degree", MAX_DELTA) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,8 @@ def cmd_coeffs(args) -> int:
     elif args.kind == "d":
         seq = _cli.d_sequence(args.delta)
     else:
-        seq = _cli.clipped_sequence(args.delta, _parse_fraction(args.c_delta) if args.c_delta else None)
+        seq = _cli.clipped_sequence(
+            args.delta, None if args.c_delta is None else _parse_fraction(args.c_delta))
     fmt, digits = args.format
     if fmt == "rational":
         values = [str(v) for v in seq]
@@ -129,21 +129,6 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _digit_count(digits: int) -> int:
-    """``digits`` as decimal places: positive, and at most MAX_DIGITS."""
-    return _at_most(MAX_DIGITS, "digit count", _positive("digit count", digits))
-
-
-def _parse_digits(text: str) -> int:
-    """argparse type: an :func:`_integer` that is a :func:`_digit_count`."""
-    return _digit_count(_integer(text))
-
-
-def _parse_budget(text: str) -> int:
-    """argparse type: an :func:`_integer` search node budget of at least 1."""
-    return _positive("budget", _integer(text))
-
-
 def _parse_format(text: str):
     if text == "rational":
         return "rational", None
@@ -154,7 +139,7 @@ def _parse_format(text: str):
                 digits = _number(text.partition(":")[2])
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad digit count in {text!r}")
-        return "decimal", _digit_count(digits)
+        return "decimal", _limit(digits, "digit count", MAX_DIGITS, positive=True)
     raise argparse.ArgumentTypeError(f"unknown format {text!r}; use rational or decimal[:N]")
 
 
@@ -421,10 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Degree-weighted lower bounds on the independence number "
                     "of connected bounded-degree graphs, with witnesses.")
     sub = p.add_subparsers(dest="command", required=True)
-    delta_type = _bounded_int(MAX_DELTA, "degree")
 
     pc = sub.add_parser("coeffs", help="print a coefficient sequence")
-    pc.add_argument("--delta", type=delta_type, required=True)
+    pc.add_argument("--delta", type=_int_type("degree", MAX_DELTA), required=True)
     pc.add_argument("--kind", choices=("c", "d", "clipped"), default="c")
     pc.add_argument("--c-delta", help="tail value for --kind clipped, e.g. 2/9")
     pc.add_argument("--format", type=_parse_format, default=("rational", None),
@@ -447,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exact independence number")
     pe.add_argument("graph")
-    pe.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET,
+    pe.add_argument("--budget", type=_int_type("budget", positive=True),
+                    default=DEFAULT_BUDGET,
                     help=f"search node budget (default {DEFAULT_BUDGET})")
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_exact)
@@ -455,22 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("gen", help="generate a family member as an edge list")
     pg.add_argument("family", choices=tuple(GENERATORS))
     for name in GEN_OPTIONS:
-        pg.add_argument(f"--{name}", type=_integer)
+        pg.add_argument(f"--{name}", type=_int_type())
     pg.add_argument("-o", "--output")
     pg.set_defaults(func=cmd_gen)
 
     pv = sub.add_parser("verify", help="cross-check bounds, witness, exact")
     pv.add_argument("graph")
     pv.add_argument("--delta-range", type=_parse_range, default=())
-    pv.add_argument("--exact-threshold", type=_integer, default=30,
+    pv.add_argument("--exact-threshold", type=_int_type(), default=30,
                     help="run the exact solver when n is at most this")
-    pv.add_argument("--budget", type=_parse_budget, default=DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=_int_type("budget", positive=True),
+                    default=DEFAULT_BUDGET)
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("table", help="c- and d-coefficients side by side")
-    pt.add_argument("--delta", type=delta_type, required=True)
-    pt.add_argument("--digits", type=_parse_digits, default=12)
+    pt.add_argument("--delta", type=_int_type("degree", MAX_DELTA), required=True)
+    pt.add_argument("--digits", type=_int_type("digit count", MAX_DIGITS, positive=True),
+                    default=12)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_table)
 

@@ -222,6 +222,18 @@ OPTION_ERRORS = {
             "unknown format 'hex'; use rational or decimal[:N]"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"):
         (2, "error: not a rational number: 'x'"),
+    # the tail is A or A/B in the number tokens graph files use
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "\u0662/\u0669"):
+        (2, "error: not a rational number: '\u0662/\u0669'"),
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "1_0/99"):
+        (2, "error: not a rational number: '1_0/99'"),
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "+2/9"):
+        (2, "error: not a rational number: '+2/9'"),
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "0.2"):
+        (2, "error: not a rational number: '0.2'"),
+    # an empty tail is refused, not read as no tail
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", ""):
+        (2, "error: not a rational number: ''"),
     # a tail value only the clipped kind reads is refused, not ignored
     ("coeffs", "--delta", "5", "--kind", "c", "--c-delta", "1/9"):
         (2, "error: --c-delta needs --kind clipped"),
@@ -256,14 +268,14 @@ def test_delta_range_limit():
 def test_size_caps_refuse_before_allocating():
     assert cli._parse_range("1599..1600") == (1599, 1600)
     assert cli._parse_format("decimal:1000") == ("decimal", 1000)
-    degree = cli._bounded_int(cli.MAX_DELTA, "degree")
+    degree = cli._int_type("degree", cli.MAX_DELTA)
     assert degree("1600") == 1600
     refusals = [
         (cli._parse_range, "100000000..100000000", "degree too large"),
         (cli._parse_range, "1601", "degree too large"),
         (cli._parse_format, "decimal:100000000", "digit count too large"),
         (degree, "20000", "degree too large"),
-        (cli._bounded_int(cli.MAX_DIGITS, "digit count"), "1001", "digit count too large"),
+        (cli._int_type("digit count", cli.MAX_DIGITS), "1001", "digit count too large"),
     ]
     for parse, text, message in refusals:
         tracemalloc.start()

@@ -228,6 +228,23 @@ def test_witness_requires_class_membership():
         peel_witness(cycle_graph(8))
 
 
+@pytest.mark.parametrize("build, factor, message", [
+    (lambda: cycle_with_pendants(10), F(1, 2), "piece owed more than its own weight"),
+    (lambda: cycle_with_pendants(10), F(11, 10),
+     "complete component owed more than one vertex"),
+    (lambda: chain_blocks(4, 3), F(11, 10), "peel share exceeds one"),
+    (petersen_graph, F(2), "regular base case fell short of its weight"),
+    (lambda: cycle_with_pendants(10), F(2), "bound is not a whole number of ledger units"),
+], ids=["owed", "complete", "share", "regular", "whole"])
+def test_peel_checks_refuse_scaled_weights(monkeypatch, build, factor, message):
+    # the peel weighs vertices with every coefficient scaled while the bound
+    # it owes stays c_bound(g), so one of its certification checks must fail
+    monkeypatch.setattr(witness, "c_sequence",
+                        lambda delta: [factor * c for c in c_sequence(delta)])
+    with pytest.raises(CertificationError, match=message):
+        peel_witness(build())
+
+
 @given(st.integers(3, 6), st.integers(0, 2000))
 @settings(max_examples=150, deadline=None)
 def test_witness_certifies_bound_on_random_members(delta, seed):
