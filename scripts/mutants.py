@@ -49,7 +49,7 @@ CUT_VERTEX_TESTS = (
 
 CLIQUE_TESTS = ("tests/test_witness.py::test_maximal_cliques_match_brute_force",)
 
-SHARE_TESTS = ("tests/test_witness.py::test_witness_share_identity_exact",)
+PEEL_TRACE_TESTS = ("tests/test_witness.py::test_peel_trace_matches_reference",)
 
 EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration",)
 
@@ -87,21 +87,19 @@ MUTANTS = [
            "if g.n:", "if True:",
            ("tests/test_witness.py::test_maximal_cliques_known",)),
     Mutant("isolated-keeps-a-neighbour", "src/alphabound/witness.py",
-           "lost[y] == deg[y]", "lost[y] == deg[y] - 1", SHARE_TESTS),
+           "lost[y] == deg[y]", "lost[y] == deg[y] - 1", PEEL_TRACE_TESTS),
     Mutant("degree-drops-by-one", "src/alphabound/witness.py",
-           "deg[y] -= lost[y]", "deg[y] -= 1",
-           ("tests/test_witness.py::test_witness_ledger_recomputed_independently",)),
+           "deg[y] -= lost[y]", "deg[y] -= 1", PEEL_TRACE_TESTS),
     Mutant("seeds-include-isolated", "src/alphabound/witness.py",
-           "[y for y in lost if lost[y] < deg[y]]", "list(lost)", SHARE_TESTS),
+           "[y for y in lost if lost[y] < deg[y]]", "list(lost)", PEEL_TRACE_TESTS),
     Mutant("peel-pick-any-upward", "src/alphabound/witness.py",
-           "if deg[w] == dmax:", "if deg[w] > dmin:",
-           ("tests/test_witness.py::test_peel_steps_match_public_calls_and_reference",)),
+           "if deg[w] == dmax:", "if deg[w] > dmin:", PEEL_TRACE_TESTS),
     Mutant("components-one-seed-short", "src/alphabound/graphcore.py",
            "if not pending:", "if len(pending) <= 1:",
            ("tests/test_graph.py::test_seeded_components_match_unseeded",)),
     Mutant("isolated-share-after-drop", "src/alphabound/witness.py",
            "weight[deg[y]] for y in isolated", "weight[deg[y] - lost[y]] for y in isolated",
-           SHARE_TESTS),
+           PEEL_TRACE_TESTS),
     Mutant("chain-first-vertex-free", "src/alphabound/families.py",
            "v == 0 or v % delta", "v % delta",
            ("tests/test_families.py::test_chain_blocks_matches_reference",)),
@@ -121,8 +119,7 @@ MUTANTS = [
            '.lstrip("-")', "",
            ("tests/test_cli.py::test_table_output_pinned",)),
     Mutant("pick-step-from-last-vertex", "src/alphabound/witness.py",
-           "via[v] if v in via else (v, w)", "(v, w)",
-           ("tests/test_witness.py::test_peel_steps_match_public_calls_and_reference",)),
+           "via[v] if v in via else (v, w)", "(v, w)", PEEL_TRACE_TESTS),
     Mutant("sign-zero-positive", "src/alphabound/coeffs.py",
            "(lo > 0) - (hi < 0)", "(lo >= 0) - (hi < 0)",
            ("tests/test_coeffs.py::test_euler_linear_comparisons_follow_the_sign",

@@ -11,7 +11,8 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_witness import CountingGraph, CountingSet
+from test_graph import reference_components
+from test_witness import CountingGraph, CountingSet, _regular_member
 
 from alphabound import cli
 from alphabound.bounds import bound_report, c_bound
@@ -20,7 +21,7 @@ from alphabound.families import (chain_blocks, circulant_graph,
                                  cycle_with_pendants, petersen_graph,
                                  random_connected, regular_blocks,
                                  regular_template)
-from alphabound.graphcore import Graph, components_within, write_dimacs
+from alphabound.graphcore import Graph, write_dimacs
 from alphabound.witness import (brooks_coloring, enumerate_maximal_cliques,
                                 peel_witness)
 
@@ -47,7 +48,7 @@ def test_brooks_and_peel_on_the_inner_first_ring():
     g = gadget_ring(50, inner_first=True)
     # cubic and two-connected, so the colouring takes the split-triple path
     assert g.min_degree() == g.max_degree() == 3 and g.is_connected()
-    assert all(len(components_within(g, set(range(g.n)) - {v})) == 1
+    assert all(len(reference_components(g, set(range(g.n)) - {v})) == 1
                for v in range(g.n))
     colors = brooks_coloring(g)
     assert all(colors[u] != colors[v] for u, v in g.edges())
@@ -72,11 +73,6 @@ def test_brooks_cost_does_not_depend_on_the_numbering():
     natural = _best_of_three(gadget_ring(4000, inner_first=False))
     inner_first = _best_of_three(gadget_ring(4000, inner_first=True))
     assert inner_first < 4 * natural
-
-
-def _regular_member(delta, k):
-    k += (k * delta) % 2        # an odd degree needs an even template
-    return regular_blocks(delta, regular_template(delta, k))
 
 
 class_members = st.one_of(

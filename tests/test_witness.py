@@ -1,12 +1,12 @@
 import hashlib
 import random
-import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_graph import reference_components
 
 from alphabound import witness
 from alphabound.bounds import c_bound
@@ -95,37 +95,63 @@ def members_in_any_numbering(draw):
     return g
 
 
+def reference_peel(g):
+    """The peel's trace rebuilt from its rules alone, on frozensets and
+    Fraction sums: a piece owed its parent's handoff is settled by a base
+    case or split around the reference pick, and every weight is read at
+    the piece's own degrees.  A base case's taken set is left empty, since
+    any independent set of the piece that meets its weight will do."""
+    cs = c_sequence(g.max_degree())
+    nbr = g.neighbor_sets()
+    trace = []
+    work = [(frozenset(range(g.n)), c_bound(g))]
+    while work:
+        piece, owed = work.pop()
+        deg = {v: len(nbr[v] & piece) for v in piece}
+
+        def weigh(vertices):
+            return sum((cs[deg[v]] for v in vertices), F(0))
+
+        target = weigh(piece)
+        dmin, dmax = min(deg.values()), max(deg.values())
+        if dmin == len(piece) - 1 or dmin == dmax:
+            kind = ("complete" if dmin == len(piece) - 1
+                    else "cycle" if dmin == 2 else "coloring")
+            trace.append(BaseStep(kind, tuple(sorted(piece)), (), target, owed))
+            continue
+        u = reference_select(g, piece)
+        assert select_peel_vertex(g, piece) == u
+        neighbors = tuple(sorted(nbr[u] & piece))
+        parts = reference_components(g, piece - {u, *neighbors})
+        isolated = tuple(sorted(v for c in parts if len(c) == 1 for v in c))
+        comps = tuple(tuple(sorted(c)) for c in parts if len(c) > 1)
+        handoffs = tuple(map(weigh, comps))
+        trace.append(PeelStep(u, deg[u], neighbors, isolated, comps,
+                              weigh((u, *neighbors)), weigh(isolated),
+                              handoffs, target, owed))
+        work += reversed([(frozenset(c), h) for c, h in zip(comps, handoffs)])
+    return trace
+
+
 @given(members_in_any_numbering())
 @settings(max_examples=150, deadline=None)
-def test_peel_steps_match_public_calls_and_reference(g):
-    """At every peel step, the pick made from the peel's own state equals
-    the public call's and the reference search's, and the seeded split
-    equals the unseeded one.  The peel's closure "rec" makes one split per
-    step, which returns that step's components: perfbench/traced.py reads
-    the pieces from these calls."""
-    picks, splits = [], []
-
-    def pick(graph, active, state):
-        picks.append((active, select_peel_vertex(graph, active, state)))
-        return picks[-1][1]
-
-    def split(graph, active, seeds):
-        parts = components_within(graph, active, seeds)
-        splits.append((sys._getframe(1).f_code.co_name, active, parts))
-        return parts
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witness, "select_peel_vertex", pick)
-        mp.setattr(witness, "components_within", split)
-        r = peel_witness(g)
-    steps = [s for s in r.trace if isinstance(s, PeelStep)]
-    assert [u for _, u in picks] == [s.vertex for s in steps]
-    for piece, u in picks:
-        assert select_peel_vertex(g, piece) == u == reference_select(g, piece)
-    for _, active, parts in splits:
-        assert components_within(g, active) == parts
-    assert [set(parts) for caller, _, parts in splits if caller == "rec"] == \
-        [set(map(frozenset, s.components)) for s in steps]
+def test_peel_trace_matches_reference(g):
+    """Every step of the peel's trace equals the reference peel's: the
+    pick, its neighbours, the isolated vertices, the components in order,
+    and every share, target and owed value.  A base case may take any
+    independent set of its piece that meets its weight."""
+    r = peel_witness(g)
+    for step, ref in zip(r.trace, reference_peel(g), strict=True):
+        assert type(step) is type(ref)
+        if isinstance(step, PeelStep):
+            assert step == ref
+            continue
+        assert step._replace(taken=()) == ref
+        assert set(step.taken) <= set(step.vertices)
+        assert is_independent(g, step.taken)
+        assert len(step.taken) >= (step.owed if step.kind == "complete" else step.target)
+    assert is_independent(g, r.independent_set)
+    assert F(len(r.independent_set)) >= r.certified_bound == c_bound(g)
 
 
 def test_selected_vertex_has_an_upward_neighbor():
@@ -165,14 +191,6 @@ def test_witness_on_pendant_cycle():
     for step in r.trace:
         if isinstance(step, PeelStep):
             assert step.share <= 1
-
-
-def test_witness_share_identity_exact():
-    g = cycle_with_pendants(7)
-    for step in peel_witness(g).trace:
-        if isinstance(step, PeelStep):
-            assert (step.share + step.isolated_share
-                    + sum(step.handoff_shares, F(0))) == step.target
 
 
 def test_witness_complete_base_case():
@@ -243,58 +261,6 @@ def test_peel_checks_refuse_scaled_weights(monkeypatch, build, factor, message):
                         lambda delta: [factor * c for c in c_sequence(delta)])
     with pytest.raises(CertificationError, match=message):
         peel_witness(build())
-
-
-@given(st.integers(3, 6), st.integers(0, 2000))
-@settings(max_examples=150, deadline=None)
-def test_witness_certifies_bound_on_random_members(delta, seed):
-    n = delta + 1 + seed % 9
-    g = random_connected(n, delta, seed)
-    r = peel_witness(g)
-    assert is_independent(g, r.independent_set)
-    assert F(len(r.independent_set)) >= r.certified_bound == c_bound(g)
-
-
-
-graphs_for_ledger = st.one_of(
-    st.integers(3, 6).flatmap(lambda delta: st.builds(
-        random_connected, st.integers(delta + 1, 60), st.just(delta),
-        st.integers(0, 10_000))),
-    st.builds(cycle_with_pendants, st.integers(3, 30)),
-)
-
-
-@given(graphs_for_ledger)
-@settings(max_examples=80, deadline=None)
-def test_witness_ledger_recomputed_independently(g):
-    # rebuild every piece from its step and redo the accounting with plain
-    # Fraction arithmetic, sharing nothing with the witness code but the graph
-    cs = c_sequence(g.max_degree())
-    nbr = g.neighbor_sets()
-    r = peel_witness(g)
-
-    def weights(vertices, piece):
-        return [cs[len(nbr[v] & piece)] for v in vertices]
-
-    owed_by_piece = {}
-    for step in r.trace:
-        if isinstance(step, BaseStep):
-            piece = frozenset(step.vertices)
-        else:
-            piece = frozenset({step.vertex, *step.neighbors, *step.isolated,
-                               *(v for c in step.components for v in c)})
-            assert step.degree == len(nbr[step.vertex] & piece)
-            assert step.neighbors == tuple(sorted(nbr[step.vertex] & piece))
-            assert step.share == sum(weights([step.vertex, *step.neighbors], piece))
-            assert step.isolated_share == sum(weights(step.isolated, piece), F(0))
-            assert step.handoff_shares == tuple(sum(weights(c, piece))
-                                                for c in step.components)
-            assert step.share <= 1
-            for c, h in zip(step.components, step.handoff_shares):
-                owed_by_piece[frozenset(c)] = h
-        assert step.target == sum(weights(piece, piece))
-        assert step.owed == owed_by_piece.get(piece, r.certified_bound)
-    assert r.trace[0].owed == r.trace[0].target == c_bound(g)
 
 
 # --- coloring ---------------------------------------------------------------
@@ -409,7 +375,7 @@ def brute_cut_vertex(g, piece):
     # the reference: one component count per vertex, smallest vertex first
     pset = frozenset(piece)
     for v in sorted(pset):
-        if len(components_within(g, pset - {v})) > 1:
+        if len(reference_components(g, pset - {v})) > 1:
             return v
     return None
 
