@@ -78,6 +78,11 @@ MUTANTS = [
            "(token.isdigit() or",
            '(token.replace("_", "").isdigit() or',
            ("tests/test_graph.py::test_parse_error_messages_unchanged",)),
+    Mutant("largest-class-smallest", "src/alphabound/witness.py",
+           "return max(classes.values(),", "return min(classes.values(),",
+           ("tests/test_witness.py::test_largest_colour_class_meets_n_over_delta",)),
+    Mutant("cycle-alternation-wraps", "src/alphabound/witness.py",
+           "(k if k % 2 == 0 else k - 1)", "k", PEEL_TRACE_TESTS),
     Mutant("clique-x-not-grown", "src/alphabound/witness.py",
            "        x.add(w)\n", "", CLIQUE_TESTS),
     Mutant("clique-x-not-narrowed", "src/alphabound/witness.py",

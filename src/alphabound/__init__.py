@@ -15,7 +15,7 @@ _EXPORTS = {
     "coeffs": ("CoeffSequence", "EulerLinear", "c_explicit", "c_sequence",
                "clipped_sequence", "d_closed_form", "d_sequence",
                "e_enclosure", "render_decimal"),
-    "exact": ("ExactResult", "exact_alpha", "naive_alpha"),
+    "exact": ("ExactResult", "exact_alpha"),
     "families": ("attach_cliques", "chain_blocks", "circulant_graph",
                  "complete_graph", "cycle_graph", "cycle_with_pendants",
                  "path_graph", "petersen_graph", "random_connected",
@@ -27,10 +27,9 @@ _EXPORTS = {
                   "parse_graph", "require_in_class", "write_dimacs",
                   "write_edge_list"),
     "witness": ("BaseStep", "PeelStep", "WeightCheck", "WitnessResult",
-                "brooks_coloring", "brooks_independent_set", "c_weights",
-                "check_clique_weighting", "clipped_weights",
-                "enumerate_maximal_cliques", "peel_witness",
-                "select_peel_vertex"),
+                "brooks_coloring", "c_weights", "check_clique_weighting",
+                "clipped_weights", "enumerate_maximal_cliques",
+                "peel_witness", "select_peel_vertex"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

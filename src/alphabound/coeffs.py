@@ -249,21 +249,16 @@ class CoeffSequence:
         return iter(self.values)
 
 
-def _c_values(delta: int) -> tuple[Fraction, ...]:
-    """Uncached backward recursion; see c_sequence."""
-    out = [Fraction(0)] * delta
-    out[delta - 1] = Fraction(1, delta)
-    for i in range(delta - 1, 0, -1):           # i*c_i + c_{i+1} = 1
-        out[i - 1] = (1 - out[i]) / i
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def c_sequence(delta: int) -> CoeffSequence:
     """c_delta = 1/delta and i*c_i + c_{i+1} = 1, exact rationals."""
     if delta < 3:
         raise ValueError("coefficients defined only for delta >= 3")
-    return CoeffSequence("c", delta, _c_values(delta))
+    out = [Fraction(0)] * delta
+    out[delta - 1] = Fraction(1, delta)
+    for i in range(delta - 1, 0, -1):           # i*c_i + c_{i+1} = 1
+        out[i - 1] = (1 - out[i]) / i
+    return CoeffSequence("c", delta, tuple(out))
 
 
 def c_explicit(i: int, delta: int) -> Fraction:

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# BudgetExceeded, DEFAULT_BUDGET and is_independent are re-exported here
-from .graphcore import (DEFAULT_BUDGET, BudgetExceeded, Graph,  # noqa: F401
-                        is_independent)
+from .graphcore import DEFAULT_BUDGET, BudgetExceeded, Graph
 
 
 class ExactResult(NamedTuple):
@@ -135,28 +133,4 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
         stack.append((mask ^ taken, around(taken) & (mask ^ taken),
                       size + 1, chosen | bit))
     return ExactResult(best_size, _mask_to_set(best_mask), nodes)
-
-
-def naive_alpha(g: Graph) -> ExactResult:
-    """Enumerate all 2**n subsets; integrity oracle for small n only."""
-    n = g.n
-    if n > 22:
-        raise ValueError("naive enumeration is exponential; refusing n > 22")
-    nbr = _adjacency_masks(g)
-    best_size, best_mask = 0, 0
-    for s in range(1 << n):
-        if s.bit_count() <= best_size:
-            continue
-        mm = s
-        ok = True
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            if nbr[v] & s:
-                ok = False
-                break
-        if ok:
-            best_size, best_mask = s.bit_count(), s
-    return ExactResult(best_size, _mask_to_set(best_mask), 1 << n)
 

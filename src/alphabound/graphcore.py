@@ -19,8 +19,8 @@ class ParseError(ValueError):
 
 
 # The errors below belong to the witness and the exact solver, which
-# re-export them.  They live here so that the command line can map them to
-# exit codes without importing either module.
+# import them from here.  They live here so that the command line can map
+# them to exit codes without importing either module.
 
 class CertificationError(RuntimeError):
     """An internal soundness check failed while building a witness."""

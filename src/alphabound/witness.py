@@ -380,15 +380,6 @@ def brooks_coloring(g: Graph) -> dict[int, int]:
     return colors
 
 
-def brooks_independent_set(g: Graph) -> tuple[int, ...]:
-    """Largest color class of a Brooks coloring: at least n/max_degree
-    vertices."""
-    best = _largest_class(brooks_coloring(g))
-    _check(len(best) * g.max_degree() >= g.n,
-           "largest color class smaller than n over max degree")
-    return tuple(sorted(best))
-
-
 # ---------------------------------------------------------------------------
 # clique weightings
 

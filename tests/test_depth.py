@@ -8,9 +8,9 @@ from pathlib import Path
 import alphabound
 from alphabound import cli
 from alphabound.bounds import c_bound
-from alphabound.exact import exact_alpha, is_independent
+from alphabound.exact import exact_alpha
 from alphabound.families import chain_blocks, cycle_with_pendants
-from alphabound.graphcore import write_edge_list
+from alphabound.graphcore import is_independent, write_edge_list
 from alphabound.witness import enumerate_maximal_cliques, peel_witness
 
 

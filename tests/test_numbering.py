@@ -16,12 +16,12 @@ from test_witness import CountingGraph, CountingSet, _regular_member
 
 from alphabound import cli
 from alphabound.bounds import bound_report, c_bound
-from alphabound.exact import exact_alpha, is_independent
+from alphabound.exact import exact_alpha
 from alphabound.families import (chain_blocks, circulant_graph,
                                  cycle_with_pendants, petersen_graph,
                                  random_connected, regular_blocks,
                                  regular_template)
-from alphabound.graphcore import Graph, write_dimacs
+from alphabound.graphcore import Graph, is_independent, write_dimacs
 from alphabound.witness import (brooks_coloring, enumerate_maximal_cliques,
                                 peel_witness)
 

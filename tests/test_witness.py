@@ -11,19 +11,19 @@ from test_graph import reference_components
 from alphabound import witness
 from alphabound.bounds import c_bound
 from alphabound.coeffs import c_sequence
-from alphabound.exact import exact_alpha, is_independent
+from alphabound.exact import exact_alpha
 from alphabound.families import (attach_cliques, chain_blocks, circulant_graph,
                                  complete_graph, cycle_graph,
                                  cycle_with_pendants, path_graph,
                                  petersen_graph, random_connected,
                                  regular_blocks, regular_template, star_graph)
-from alphabound.graphcore import Graph, components_within
+from alphabound.graphcore import Graph, components_within, is_independent
 from alphabound.witness import (BaseStep, CertificationError, PeelStep,
                                 WeightCheck, _find_cut_vertex,
-                                brooks_coloring, brooks_independent_set,
-                                c_weights, check_clique_weighting,
-                                clipped_weights, enumerate_maximal_cliques,
-                                peel_witness, select_peel_vertex)
+                                brooks_coloring, c_weights,
+                                check_clique_weighting, clipped_weights,
+                                enumerate_maximal_cliques, peel_witness,
+                                select_peel_vertex)
 
 
 # --- peel vertex selection ---------------------------------------------------
@@ -316,10 +316,10 @@ def test_brooks_coloring_validation():
         brooks_coloring(complete_graph(5))
 
 
-def test_brooks_independent_set_size():
+def test_largest_colour_class_meets_n_over_delta():
     for g in (petersen_graph(), circulant_graph(10, (1, 2)),
               cycle_with_pendants(8)):
-        s = brooks_independent_set(g)
+        s = witness._largest_class(brooks_coloring(g))
         assert is_independent(g, s)
         assert len(s) * g.max_degree() >= g.n
 
