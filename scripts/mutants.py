@@ -53,6 +53,8 @@ PEEL_TRACE_TESTS = ("tests/test_witness.py::test_peel_trace_matches_reference",)
 
 EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration",)
 
+FOLD_TESTS = ("tests/test_exact.py::test_best_sets_independent_in_input_numbering",)
+
 PARSE_TESTS = ("tests/test_graph.py::test_parse_error_messages_unchanged",)
 
 MUTANTS = [
@@ -136,11 +138,19 @@ MUTANTS = [
            "if idx < first and not cliques[idx] & ~cm:", "if idx < first:",
            EXACT_TESTS),
     Mutant("exact-simplicial-first-neighbour", "src/alphabound/exact.py",
-           "cc ^= ul\n                if cc", "cc = 0\n                if cc",
+           "cc ^= ul\n                    if cc", "cc = 0\n                    if cc",
            EXACT_TESTS),
     Mutant("exact-branch-last-max-degree", "src/alphabound/exact.py",
            "if d > bd:", "if d >= bd:",
            ("tests/test_exact.py::test_search_order_pinned",)),
+    Mutant("exact-fold-adjacent-pair", "src/alphabound/exact.py",
+           "if cm.bit_count() == 2 and not nbr[(cm & -cm).bit_length() - 1] & cm:",
+           "if cm.bit_count() == 2:", FOLD_TESTS),
+    Mutant("exact-unfold-takes-v", "src/alphabound/exact.py",
+           "1 << (w if chosen", "1 << (v if chosen", FOLD_TESTS),
+    Mutant("exact-trail-entry-unrestored", "src/alphabound/exact.py",
+           "reversed(trail[mark:])", "reversed(trail[mark + 1:])",
+           ("tests/test_exact.py::test_same_search_as_reference",)),
     *[Mutant(f"peel-check-{case}-off", "src/alphabound/witness.py",
              f"_check({cond},", "_check(True,",
              (f"tests/test_witness.py::test_peel_checks_refuse_scaled_weights[{case}]",))

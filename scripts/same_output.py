@@ -10,7 +10,9 @@ the four benchmark workloads with ``perfbench/corpus.py`` and its own
 Every job then runs as ``python -m alphabound.cli`` under both trees, on the
 same files, and the exit code, stdout, stderr and the sha256 of the
 ``--trace`` file are compared; a run still going after five minutes
-is stopped and counts as differing.  A fixed list of invocations outside the
+is stopped and counts as differing.  When both stdouts are JSON objects, a
+differing stdout is reported with the top-level keys that differ, e.g.
+``stdout (nodes, optimal_set) differ``.  A fixed list of invocations outside the
 workloads (``gen`` for every family, refused options, ``coeffs``, ``table``
 and every ``--help``) is compared the same way.  Prints the number of
 differing jobs and invocations and exits 1 if any of them or any corpus
@@ -124,11 +126,25 @@ def run_job(src: Path, argv: list[str], trace: Path) -> dict:
     return result
 
 
+def json_keys_differing(parent: bytes | None, change: bytes | None) -> list[str]:
+    """The top-level keys whose values differ, when both outputs are JSON
+    objects; else an empty list."""
+    try:
+        a, b = json.loads(parent), json.loads(change)
+    except (TypeError, ValueError):
+        return []
+    if not isinstance(a, dict) or not isinstance(b, dict):
+        return []
+    return [k for k in {**a, **b} if k not in a or k not in b or a[k] != b[k]]
+
+
 def differing_fields(trees: dict, argv: list[str], trace: Path) -> list[str]:
     parent, change = (run_job(src, argv, trace) for src in trees.values())
     # a run that timed out differs, even from another that timed out
-    return [f for f in {**parent, **change}
-            if f == "time" or parent.get(f) != change.get(f)]
+    fields = [f for f in {**parent, **change}
+              if f == "time" or parent.get(f) != change.get(f)]
+    keys = json_keys_differing(parent.get("stdout"), change.get("stdout"))
+    return [f"{f} ({', '.join(keys)})" if f == "stdout" and keys else f for f in fields]
 
 
 def main(argv=None) -> int:

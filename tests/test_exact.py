@@ -1,19 +1,22 @@
 """Exact solver against the brute-force oracle and structured instances."""
 
 import hashlib
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphabound.exact import (BudgetExceeded, ExactResult, _adjacency_masks,
-                              _mask_to_set, exact_alpha)
+from alphabound.exact import BudgetExceeded, ExactResult, exact_alpha
 from alphabound.families import (attach_cliques, chain_blocks, complete_graph,
                                  cycle_graph, path_graph, petersen_graph,
                                  random_connected, star_graph)
 from alphabound.graphcore import Graph, is_independent
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
 def naive_alpha(g):
@@ -111,11 +114,11 @@ def test_search_order_pinned():
             r = exact_alpha(random_connected(n, 4, s))
             rows.append((n, s, r.alpha, r.nodes_explored, sorted(r.optimal_set)))
     assert digest(rows) == \
-        "2e7829c7e1eb46d12f9689c41130e27de05552923133efcb0df073a8fecf2157"
+        "9cc22f371c6fa41d5f57954f3426b9f6dd60976e2f9649a3382c08341e63a3df"
 
 
 def test_best_so_far_pinned():
-    g = random_connected(90, 4, 9)      # 1533 nodes to solve
+    g = random_connected(90, 4, 9)      # 105 nodes to solve
     rows = []
     for b in (10, 100, 1000, 2000):
         try:
@@ -124,88 +127,87 @@ def test_best_so_far_pinned():
         except BudgetExceeded as exc:
             rows.append((b, exc.best_size, sorted(exc.best_set), exc.nodes))
     assert digest(rows) == \
-        "e38ee99700b832ea67aeafe97fd60d3391ae73ded5408b8cc06ed58b8fb79ced"
+        "391cd1daa4a0309fc68223249b15ad688d3d640b5cc2c39ee76f72bcd874ed4d"
 
 
 def test_deep_best_so_far_pinned():
-    # a residual deep enough that the reduction and the cover see hundreds
-    # of search levels before the budget runs out
+    # the budget runs out deep in the search, with folds on the trail,
+    # before the search finds alpha = 63
     with pytest.raises(BudgetExceeded) as ei:
-        exact_alpha(random_connected(150, 4, 1), budget=5000)
+        exact_alpha(random_connected(150, 4, 1), budget=2000)
     exc = ei.value
     assert digest((exc.best_size, sorted(exc.best_set), exc.nodes)) == \
-        "e52a4453b2bc28dfa94fd129d74dbb17b4cc2bdd557f1487f87442173188cb94"
+        "bc6ea1aef8e484207bb505a4536c6b964e621ce10f71773a4826229cd9760b64"
 
 
 def reference_alpha(g, budget):
-    """The same search without its shortcuts: the reduction rescans the
-    whole residual after every pick, and the cover tests each vertex against
-    every clique so far.  exact_alpha must visit the same nodes in the same
-    order."""
-    n = g.n
-    if n == 0:
+    """The same search written plainly: each node copies its residual as a
+    dict of neighbour sets, and every rule rescans the whole residual.  The
+    rules, in order: take the lowest simplicial vertex; else fold the lowest
+    vertex v of degree 2, whose neighbours u < w are then not adjacent, by
+    merging w into u; else prune by the greedy clique cover and branch on
+    the lowest vertex of maximum degree, in-branch first.  A leaf's set is
+    unfolded newest fold first.  exact_alpha must visit the same nodes in
+    the same order."""
+    if g.n == 0:
         return ExactResult(0, frozenset(), 0)
-    nbr = _adjacency_masks(g)
-    best_size = best_mask = nodes = 0
+    best_size, best_set, nodes = 0, frozenset(), 0
 
-    def cover_bound(mask):
+    def without(res, drop):
+        return {v: ns - drop for v, ns in res.items() if v not in drop}
+
+    def simplicial(res, v):
+        return all(b in res[a] for a, b in combinations(res[v], 2))
+
+    def cover_size(res):
         cliques = []
-        mm = mask
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            mm ^= low
-            for idx, cm in enumerate(cliques):
-                if cm & ~nbr[v] == 0:
-                    cliques[idx] = cm | low
+        for v in sorted(res):
+            for clique in cliques:
+                if clique <= res[v]:
+                    clique.add(v)
                     break
             else:
-                cliques.append(low)
+                cliques.append({v})
         return len(cliques)
 
-    stack = [((1 << n) - 1, 0, 0)]
+    stack = [({v: set(g.adj[v]) for v in range(g.n)}, 0, frozenset(), ())]
     while stack:
         if nodes >= budget:
-            raise BudgetExceeded(budget, best_size, _mask_to_set(best_mask), nodes)
-        mask, size, chosen = stack.pop()
+            raise BudgetExceeded(budget, best_size, best_set, nodes)
+        res, size, chosen, folds = stack.pop()
         nodes += 1
         while True:
-            picked = bv = bd = -1
-            mm = mask
-            while mm and picked < 0:
-                low = mm & -mm
-                v = low.bit_length() - 1
-                mm ^= low
-                cm = nbr[v] & mask
-                d = cm.bit_count()
-                if d > bd:
-                    bv, bd = v, d
-                cc = cm
-                while cc:
-                    ul = cc & -cc
-                    u = ul.bit_length() - 1
-                    cc ^= ul
-                    if cm & ~(nbr[u] | ul):
-                        break
-                else:
-                    picked = v
-            if picked < 0:
+            picks = [v for v in sorted(res) if simplicial(res, v)]
+            if picks:
+                v = picks[0]
+                res = without(res, res[v] | {v})
+                size += 1
+                chosen |= {v}
+                continue
+            twos = [v for v in sorted(res) if len(res[v]) == 2]
+            if not twos:
                 break
-            bit = 1 << picked
+            v = twos[0]
+            u, w = sorted(res[v])
+            merged = (res[u] | res[w]) - {v, w}
+            res = without(res, {v, w})
+            for x in merged:
+                res[x].add(u)
+            res[u] = merged
+            folds += ((u, v, w),)
             size += 1
-            chosen |= bit
-            mask &= ~(bit | nbr[picked])
-        if not mask:
+        if not res:
             if size > best_size:
-                best_size = size
-                best_mask = chosen
+                for u, v, w in reversed(folds):
+                    chosen |= {w} if u in chosen else {v}
+                best_size, best_set = size, chosen
             continue
-        if size + cover_bound(mask) <= best_size:
+        if size + cover_size(res) <= best_size:
             continue
-        bit = 1 << bv
-        stack.append((mask & ~bit, size, chosen))
-        stack.append((mask & ~(bit | nbr[bv]), size + 1, chosen | bit))
-    return ExactResult(best_size, _mask_to_set(best_mask), nodes)
+        bv = min(res, key=lambda v: (-len(res[v]), v))
+        stack.append((without(res, {bv}), size, chosen, folds))
+        stack.append((without(res, res[bv] | {bv}), size + 1, chosen | {bv}, folds))
+    return ExactResult(best_size, best_set, nodes)
 
 
 def outcome(solver, g, budget):
@@ -254,3 +256,45 @@ def test_same_search_as_reference_connected(n, seed):
     for budget in (1, 7, 50, 3000):
         assert outcome(exact_alpha, g, budget) == \
             outcome(reference_alpha, g, budget)
+
+
+def test_alpha_of_every_golden_random_member():
+    # alpha as recorded for the benchmark's random_connected(n, 4, s) pool
+    # members ("rc:n:s"); the file is only read
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    members = [(key, rec["exact"]["alpha"]) for key, rec in golden.items()
+               if key.startswith("rc:") and "exact" in rec]
+    assert len(members) == 240
+    for key, alpha in members:
+        _, n, seed = key.split(":")
+        assert exact_alpha(random_connected(int(n), 4, int(seed))).alpha == alpha, key
+
+
+def test_sparse_members_at_150_within_10k_nodes():
+    for seed in range(10):
+        g = random_connected(150, 4, seed)
+        r = exact_alpha(g, budget=10_000)
+        assert len(r.optimal_set) == r.alpha and is_independent(g, r.optimal_set)
+
+
+@st.composite
+def fold_graphs(draw):
+    """A path, a cycle or a mixed graph under a random labelling."""
+    kind = draw(st.sampled_from(["path", "cycle", "mixed"]))
+    if kind == "mixed":
+        return draw(mixed_graphs())
+    g = (path_graph if kind == "path" else cycle_graph)(draw(st.integers(3, 30)))
+    label = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(label[u], label[v]) for u in range(g.n) for v in g.adj[u] if u < v])
+
+
+@given(fold_graphs())
+@settings(max_examples=60, deadline=None)
+def test_best_sets_independent_in_input_numbering(g):
+    for budget in range(1, 51):
+        try:
+            r = exact_alpha(g, budget=budget)
+            found, size = r.optimal_set, r.alpha
+        except BudgetExceeded as exc:
+            found, size = exc.best_set, exc.best_size
+        assert len(found) == size and is_independent(g, found)
