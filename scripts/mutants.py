@@ -5,10 +5,11 @@ named beside it notice.
     python3 scripts/mutants.py [NAME ...]
 
 Each mutant is a (file, old text, new text, tests) entry below.  It is
-applied to a fresh copy of ``src/`` and ``tests/`` in a temporary
-directory, never to the checkout, and its tests run there under pytest
-with a fixed hypothesis seed.  Before any mutant, the unmutated copy must
-pass every named test.
+applied to a fresh copy of ``src/``, ``tests/`` and the exact-solver
+records ``perfbench/golden.json`` in a temporary directory, never to the
+checkout, and its tests run there under pytest with a fixed hypothesis
+seed.  Before any mutant, the unmutated copy must pass every named test;
+if it does not, the end of pytest's output is printed.
 
 A mutant is killed when one of its tests fails.  It survives if all of
 them pass; a run that breaks instead (an import error, a test id not
@@ -32,6 +33,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300         # one pytest run is stopped after this many seconds
+TAIL_LINES = 40         # lines of a failing unmutated run's output shown
+GOLDEN = "perfbench/golden.json"    # records tests/test_exact.py reads
 
 
 class Mutant(NamedTuple):
@@ -51,7 +54,9 @@ CLIQUE_TESTS = ("tests/test_witness.py::test_maximal_cliques_match_brute_force",
 
 PEEL_TRACE_TESTS = ("tests/test_witness.py::test_peel_trace_matches_reference",)
 
-EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration",)
+GOLDEN_TEST = "tests/test_exact.py::test_alpha_of_every_golden_random_member"
+
+EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration", GOLDEN_TEST)
 
 FOLD_TESTS = ("tests/test_exact.py::test_best_sets_independent_in_input_numbering",)
 
@@ -145,12 +150,12 @@ MUTANTS = [
            ("tests/test_exact.py::test_search_order_pinned",)),
     Mutant("exact-fold-adjacent-pair", "src/alphabound/exact.py",
            "if cm.bit_count() == 2 and not nbr[(cm & -cm).bit_length() - 1] & cm:",
-           "if cm.bit_count() == 2:", FOLD_TESTS),
+           "if cm.bit_count() == 2:", (*FOLD_TESTS, GOLDEN_TEST)),
     Mutant("exact-unfold-takes-v", "src/alphabound/exact.py",
            "1 << (w if chosen", "1 << (v if chosen", FOLD_TESTS),
     Mutant("exact-trail-entry-unrestored", "src/alphabound/exact.py",
            "reversed(trail[mark:])", "reversed(trail[mark + 1:])",
-           ("tests/test_exact.py::test_same_search_as_reference",)),
+           ("tests/test_exact.py::test_same_search_as_reference", GOLDEN_TEST)),
     *[Mutant(f"peel-check-{case}-off", "src/alphabound/witness.py",
              f"_check({cond},", "_check(True,",
              (f"tests/test_witness.py::test_peel_checks_refuse_scaled_weights[{case}]",))
@@ -185,21 +190,25 @@ def copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    (dest / GOLDEN).parent.mkdir()
+    shutil.copyfile(ROOT / GOLDEN, dest / GOLDEN)
 
 
-def run_tests(tree: Path, tests) -> int | None:
-    """pytest's exit code: 0 if every test passed, 1 if some failed, and
-    anything else if the run itself broke (a test id not found, an import
-    error); None if it was stopped after TIMEOUT_S seconds."""
+def run_tests(tree: Path, tests) -> tuple[int | None, str]:
+    """pytest's exit code and its output.  The code is 0 if every test
+    passed, 1 if some failed, and anything else if the run itself broke (a
+    test id not found, an import error); None if it was stopped after
+    TIMEOUT_S seconds."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        return subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--hypothesis-seed=0", *tests],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT_S).returncode
+            cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return None
+        return None, f"stopped after {TIMEOUT_S} s"
+    return proc.returncode, proc.stdout
 
 
 def main(argv=None) -> int:
@@ -213,8 +222,10 @@ def main(argv=None) -> int:
         base = Path(tmp) / "base"
         copy_tree(base)
         every_test = list(dict.fromkeys(t for m in chosen for t in m.tests))
-        if run_tests(base, every_test) != 0:
+        code, output = run_tests(base, every_test)
+        if code != 0:
             print("the unmutated tree fails the named tests", file=sys.stderr)
+            print(*output.splitlines()[-TAIL_LINES:], sep="\n", file=sys.stderr)
             return 1
         bad = 0
         for m in chosen:
@@ -226,7 +237,7 @@ def main(argv=None) -> int:
                 verdict = "no longer applies"
             else:
                 target.write_text(text.replace(m.old, m.new), encoding="utf-8")
-                code = run_tests(tree, m.tests)
+                code, _ = run_tests(tree, m.tests)
                 verdict = {0: "SURVIVED", 1: "killed", None: "broke the run (timeout)"}.get(
                     code, f"broke the run (exit {code})")
             bad += verdict != "killed"

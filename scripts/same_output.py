@@ -80,6 +80,13 @@ OTHER_INVOCATIONS = [
     ["bound", "missing.txt", "--delta-range", "1599..1601"],
     ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/7"],
     ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/2"],
+    ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/0"],
+    ["coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "2/-9"],
+    ["gen", "regular-blocks", "--delta", "2", "--template-size", "5"],
+    ["gen", "chain", "--delta", "3", "--blocks", "0"],
+    ["gen", "pendant-cycle", "--cycle", "2"],
+    ["coeffs", "--delta", "4"],
+    ["coeffs", "--delta", "4", "--format", "rational"],
     *[["coeffs", "--delta", "6", "--kind", kind, "--format", fmt]
       for kind in ("c", "d", "clipped") for fmt in ("rational", "decimal:20")],
     ["table", "--delta", "6"],

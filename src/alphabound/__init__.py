@@ -29,7 +29,7 @@ _EXPORTS = {
     "witness": ("BaseStep", "PeelStep", "WeightCheck", "WitnessResult",
                 "brooks_coloring", "c_weights", "check_clique_weighting",
                 "clipped_weights", "enumerate_maximal_cliques",
-                "peel_witness", "select_peel_vertex"),
+                "peel_witness"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

@@ -187,16 +187,16 @@ def _bfs(g: Graph, sources: Iterable[int],
 
 
 def components_within(g: Graph, active: set[int] | frozenset[int],
-                      seeds: Optional[Iterable[int]] = None) -> list[frozenset]:
+                      seeds: Iterable[int]) -> list[frozenset]:
     """Connected components of the subgraph induced by ``active``,
     ordered by smallest contained vertex.
 
-    ``seeds``, vertices of ``active`` that meet every component, default
-    to all of ``active``.  The search starts from each seed not yet
+    ``seeds`` are vertices of ``active`` that meet every component;
+    ``active`` itself will do.  The search starts from each seed not yet
     reached, in increasing order, and stops as soon as it has reached
     every seed: the component it is in is what the others leave of
     ``active``."""
-    seeds = sorted(active if seeds is None else seeds)
+    seeds = sorted(seeds)
     pending = set(seeds)        # seeds not reached yet
     adj = g.adj
     out = []

@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, compress
 from math import lcm
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 from .bounds import c_bound
 from .coeffs import c_sequence, clipped_sequence
@@ -50,31 +50,18 @@ def _check(cond: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # peel vertex selection
 
-def select_peel_vertex(g: Graph, active: Optional[Iterable[int]] = None,
-                       state: Optional[tuple] = None) -> int:
-    """Minimum-degree vertex (within ``active``) chosen so that one of its
-    neighbors has strictly larger degree: run a breadth-first search from
-    all minimum-degree vertices at once until it reaches a maximum-degree
-    vertex.  The source that vertex's search path starts at is the pick.
+def select_peel_vertex(g: Graph, active: Sequence[int], state: tuple) -> int:
+    """Minimum-degree vertex of the piece ``active`` chosen so that one of
+    its neighbors has strictly larger degree: run a breadth-first search
+    from all minimum-degree vertices at once until it reaches a
+    maximum-degree vertex.  The source that vertex's search path starts at
+    is the pick.
 
-    The peel passes its own ``state``, (deg, alive, dmin, dmax), for the
-    sorted connected piece ``active``: deg[v] is v's degree inside the
-    piece, ``alive`` holds the piece and none of its other neighbors, and
-    dmin and dmax are the piece's extreme degrees.  No vertex set, degree
-    table or connectivity search is then built for the piece."""
-    if state is None:
-        vset = set(range(g.n) if active is None else active)
-        if not vset:
-            raise ValueError("empty vertex set")
-        active = sorted(vset)
-        if len(_bfs(g, active[:1], vset)) != len(vset):
-            raise ValueError("active set must induce a connected graph")
-        nbr = g.neighbor_sets()
-        deg = {v: len(nbr[v] & vset) for v in active}
-        state = deg, vset, min(deg.values()), max(deg.values())
+    ``active`` is a sorted connected piece that is not regular, and
+    ``state`` is the peel's (deg, alive, dmin, dmax) for it: deg[v] is v's
+    degree inside the piece, ``alive`` holds the piece and none of its
+    other neighbors, and dmin < dmax are the piece's extreme degrees."""
     deg, alive, dmin, dmax = state
-    if dmin == dmax:
-        raise ValueError("no peel vertex in regular graph")
     # the sources are the piece's minimum-degree vertices, dequeued in
     # sorted order ahead of the vertices they discover; a discovered vertex
     # has degree above dmin, and the first of degree dmax ends the search,

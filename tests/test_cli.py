@@ -33,6 +33,8 @@ def test_coeffs_text(capsys):
     assert code == 0 and err == ""
     assert out.splitlines() == ["c[1] = 5/8", "c[2] = 3/8",
                                 "c[3] = 1/4", "c[4] = 1/4"]
+    # rational is the default format
+    assert run(capsys, "coeffs", "--delta", "4", "--format", "rational") == (code, out, err)
 
 
 def test_coeffs_json(capsys):
@@ -151,6 +153,13 @@ OPTION_ERRORS = {
         (2, "error: chain does not take --seed"),
     ("gen", "random", "--vertices", "6", "--delta", "3", "--cycle", "9"):
         (2, "error: random does not take --cycle"),
+    # sizes the families refuse
+    ("gen", "regular-blocks", "--delta", "2", "--template-size", "5"):
+        (2, "error: template degree must be at least 3"),
+    ("gen", "chain", "--delta", "3", "--blocks", "0"):
+        (2, "error: need at least one block"),
+    ("gen", "pendant-cycle", "--cycle", "2"):
+        (2, "error: cycle needs at least three vertices"),
     ("bound", "missing.txt", "--delta-range", "7..5"):
         (2, "alphabound bound: error: argument --delta-range: "
             "empty range: '7..5'"),
@@ -229,6 +238,11 @@ OPTION_ERRORS = {
         (2, "error: not a rational number: '1_0/99'"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "+2/9"):
         (2, "error: not a rational number: '+2/9'"),
+    # the denominator is at least 1
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/0"):
+        (2, "error: not a rational number: '1/0'"),
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "2/-9"):
+        (2, "error: not a rational number: '2/-9'"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "0.2"):
         (2, "error: not a rational number: '0.2'"),
     # an empty tail is refused, not read as no tail

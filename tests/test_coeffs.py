@@ -44,6 +44,8 @@ def test_c_sequence_is_one_indexed():
 def test_c_sequence_rejects_small_delta():
     with pytest.raises(ValueError, match="delta >= 3"):
         c_sequence(2)
+    with pytest.raises(ValueError, match="delta >= 3"):
+        clipped_sequence(2)
 
 
 @pytest.mark.parametrize("delta", range(3, 51))
@@ -186,6 +188,12 @@ def test_euler_linear_arithmetic():
     assert ((x / 2).a, (x / 2).b) == (F(1, 2), -F(1, 2))
     assert ((2 - x).a, (2 - x).b) == (1, 1)
     assert (-x).a == -1
+    # rational operands only: a float is refused on either side of -
+    for op, left, right in [(operator.add, x, 0.5), (operator.sub, x, 0.5),
+                            (operator.sub, 0.5, x), (operator.mul, x, 0.5),
+                            (operator.truediv, x, 0.5)]:
+        with pytest.raises(TypeError):
+            op(left, right)
 
 
 def test_euler_linear_comparisons():
@@ -250,6 +258,8 @@ def test_render_decimal():
     assert render_decimal(F(5, 8), 4) == "0.6250"
     assert render_decimal(3, 2) == "3.00"
     assert render_decimal(EulerLinear(0, 1), 6) == "0.367879"
+    with pytest.raises(ValueError, match="digits must be at least 1"):
+        render_decimal(1, 0)
 
 
 def test_e_enclosure_contains_e():

@@ -43,6 +43,8 @@ def test_circulant():
     assert all(g.degree(v) == 4 for v in range(9))
     with pytest.raises(ValueError, match="offsets"):
         circulant_graph(6, (4,))
+    with pytest.raises(ValueError, match="at least three vertices"):
+        circulant_graph(2, ())
     # offset n/2 contributes one edge per vertex pair, not two
     g = circulant_graph(6, (3,))
     assert g.m == 3
@@ -75,6 +77,8 @@ def test_regular_blocks(delta, k):
 
 
 def test_regular_blocks_validation():
+    with pytest.raises(ValueError, match="block degree must be at least 3"):
+        regular_blocks(2, cycle_graph(4))
     with pytest.raises(ValueError, match="regular"):
         regular_blocks(3, path_graph(4))
     with pytest.raises(ValueError, match="connected"):

@@ -49,6 +49,7 @@ def test_degree_extremes():
     g = Graph(3, [(0, 1)])
     assert g.max_degree() == 1
     assert g.min_degree() == 0
+    assert repr(g) == "Graph(n=3, m=1)"
     assert Graph(0).max_degree() == 0
 
 
@@ -133,11 +134,14 @@ def test_is_in_class_matches_networkx(case):
 
 def test_components():
     g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    comps = components_within(g, frozenset(range(6)))
+    everything = frozenset(range(6))
+    comps = components_within(g, everything, everything)
     assert comps == [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5})]
-    assert components_within(g, frozenset({0, 2, 3, 4, 5})) == [
+    active = frozenset({0, 2, 3, 4, 5})
+    assert components_within(g, active, active) == [
         frozenset({0}), frozenset({2}), frozenset({3, 4}), frozenset({5})]
-    assert components_within(g, {0, 2, 3, 4}) == [
+    active = {0, 2, 3, 4}
+    assert components_within(g, active, active) == [
         frozenset({0}), frozenset({2}), frozenset({3, 4})]
 
 
@@ -162,7 +166,7 @@ def test_breadth_first_users_match_networkx(case):
     G.add_nodes_from(range(g.n))
     assert g.is_connected() == nx.is_connected(G)
     expected = sorted(map(frozenset, nx.connected_components(G.subgraph(active))), key=min)
-    assert components_within(g, active) == expected
+    assert components_within(g, active, active) == expected
     for comp in expected:
         root = max(comp)
         order = list(_bfs(g, (root,), comp))
@@ -194,7 +198,7 @@ def test_seeded_components_match_unseeded(case, data):
     search, whichever seeds they are and however many."""
     g, active = case
     expected = reference_components(g, active)
-    assert components_within(g, active) == expected
+    assert components_within(g, active, active) == expected
     seeds = {data.draw(st.sampled_from(sorted(c))) for c in expected}
     if active:
         seeds |= data.draw(st.sets(st.sampled_from(sorted(active))))
@@ -285,7 +289,8 @@ def test_profile_identities(g):
 @given(small_graphs())
 @settings(max_examples=100, deadline=None)
 def test_components_partition(g):
-    comps = components_within(g, frozenset(range(g.n)))
+    everything = frozenset(range(g.n))
+    comps = components_within(g, everything, everything)
     seen = sorted(v for c in comps for v in c)
     assert seen == list(range(g.n))
     # no edges between different components

@@ -22,37 +22,10 @@ from alphabound.witness import (BaseStep, CertificationError, PeelStep,
                                 WeightCheck, _find_cut_vertex,
                                 brooks_coloring, c_weights,
                                 check_clique_weighting, clipped_weights,
-                                enumerate_maximal_cliques, peel_witness,
-                                select_peel_vertex)
+                                enumerate_maximal_cliques, peel_witness)
 
 
 # --- peel vertex selection ---------------------------------------------------
-
-def test_select_on_star():
-    # leaves are the minimum degree class; any of them works, the search
-    # settles on the first one discovered
-    assert select_peel_vertex(star_graph(3)) == 1
-
-
-def test_select_on_pendant_cycle():
-    g = cycle_with_pendants(10)
-    assert select_peel_vertex(g) == 10  # the pendant hanging off vertex 0
-
-
-def test_select_respects_active_set():
-    g = path_graph(5)  # 0-1-2-3-4
-    assert select_peel_vertex(g, active=[0, 1, 2]) == 0
-    assert select_peel_vertex(g, active=[2, 3, 4]) == 2
-
-
-def test_select_errors():
-    with pytest.raises(ValueError, match="no peel vertex in regular graph"):
-        select_peel_vertex(cycle_graph(6))
-    with pytest.raises(ValueError, match="empty"):
-        select_peel_vertex(Graph(3), active=[])
-    with pytest.raises(ValueError, match="connected"):
-        select_peel_vertex(path_graph(5), active=[0, 1, 3, 4])
-
 
 def reference_select(g, active):
     """The pick as a search from all minimum-degree vertices at once, run
@@ -120,7 +93,6 @@ def reference_peel(g):
             trace.append(BaseStep(kind, tuple(sorted(piece)), (), target, owed))
             continue
         u = reference_select(g, piece)
-        assert select_peel_vertex(g, piece) == u
         neighbors = tuple(sorted(nbr[u] & piece))
         parts = reference_components(g, piece - {u, *neighbors})
         isolated = tuple(sorted(v for c in parts if len(c) == 1 for v in c))
@@ -152,16 +124,6 @@ def test_peel_trace_matches_reference(g):
         assert len(step.taken) >= (step.owed if step.kind == "complete" else step.target)
     assert is_independent(g, r.independent_set)
     assert F(len(r.independent_set)) >= r.certified_bound == c_bound(g)
-
-
-def test_selected_vertex_has_an_upward_neighbor():
-    for seed in range(25):
-        g = random_connected(11, 4, seed)
-        if g.min_degree() == g.max_degree():
-            continue
-        u = select_peel_vertex(g)
-        assert g.degree(u) == g.min_degree()
-        assert any(g.degree(w) > g.degree(u) for w in g.adj[u])
 
 
 # --- the witness itself ------------------------------------------------------
@@ -403,7 +365,7 @@ def test_cut_vertex_matches_reference(g, seed):
     rng = random.Random(seed)
     removed = set(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 4))))
     alive = everything - removed
-    for comp in components_within(g, alive):
+    for comp in components_within(g, alive, alive):
         piece = sorted(comp)
         assert _find_cut_vertex(g, piece, alive) == brute_cut_vertex(g, piece)
 
@@ -423,7 +385,7 @@ def test_cut_vertex_matches_networkx(g):
     removed = set(rng.sample(range(g.n), g.n // 10))
     alive = set(range(g.n)) - removed
     pieces = [(range(g.n), set(range(g.n))),
-              *((sorted(c), alive) for c in components_within(g, alive))]
+              *((sorted(c), alive) for c in components_within(g, alive, alive))]
     for piece, members in pieces:
         expected = min(nx.articulation_points(G.subgraph(piece)), default=None)
         assert _find_cut_vertex(g, piece, members) == expected
