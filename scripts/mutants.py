@@ -108,7 +108,7 @@ MUTANTS = [
            "if deg[w] == dmax:", "if deg[w] > dmin:", PEEL_TRACE_TESTS),
     Mutant("components-one-seed-short", "src/alphabound/graphcore.py",
            "if not pending:", "if len(pending) <= 1:",
-           ("tests/test_graph.py::test_seeded_components_match_unseeded",)),
+           ("tests/test_graph.py::test_components_from_meeting_seeds_match_reference",)),
     Mutant("isolated-share-after-drop", "src/alphabound/witness.py",
            "weight[deg[y]] for y in isolated", "weight[deg[y] - lost[y]] for y in isolated",
            PEEL_TRACE_TESTS),
@@ -153,6 +153,9 @@ MUTANTS = [
            "if cm.bit_count() == 2:", (*FOLD_TESTS, GOLDEN_TEST)),
     Mutant("exact-unfold-takes-v", "src/alphabound/exact.py",
            "1 << (w if chosen", "1 << (v if chosen", FOLD_TESTS),
+    Mutant("exact-fold-skips-old-neighbours", "src/alphabound/exact.py",
+           "nbr[w] | (old & around(gained))", "nbr[w]",
+           ("tests/test_exact.py::test_same_search_as_reference", GOLDEN_TEST)),
     Mutant("exact-trail-entry-unrestored", "src/alphabound/exact.py",
            "reversed(trail[mark:])", "reversed(trail[mark + 1:])",
            ("tests/test_exact.py::test_same_search_as_reference", GOLDEN_TEST)),
@@ -163,6 +166,9 @@ MUTANTS = [
                          ("share", "share <= scale"),
                          ("regular", "len(taken) * scale >= target"),
                          ("whole", "owed.denominator == 1")]],
+    Mutant("trace-child-index-off-by-one", "src/alphabound/cli.py",
+           "children.append(i)", "children.append(i + 1)",
+           ("tests/test_cli.py::test_witness_trace_matches_pinned_digest",)),
     Mutant("limit-positive-zero", "src/alphabound/cli.py",
            "value < 1", "value < 0",
            ("tests/test_cli.py::test_option_errors_pinned",)),

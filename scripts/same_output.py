@@ -8,11 +8,12 @@ such as the ``src`` of two checkouts.  Each tree builds the seed-N corpora of
 the four benchmark workloads with ``perfbench/corpus.py`` and its own
 ``alphabound.families``, and the two sets of files must be byte-identical.
 Every job then runs as ``python -m alphabound.cli`` under both trees, on the
-same files, and the exit code, stdout, stderr and the sha256 of the
+same files, and the exit code, stdout, stderr and the bytes of the
 ``--trace`` file are compared; a run still going after five minutes
-is stopped and counts as differing.  When both stdouts are JSON objects, a
-differing stdout is reported with the top-level keys that differ, e.g.
-``stdout (nodes, optimal_set) differ``.  A fixed list of invocations outside the
+is stopped and counts as differing.  When both stdouts, or both traces, are
+JSON objects, a differing one is reported with the top-level keys that
+differ, e.g. ``stdout (nodes, optimal_set) differ`` or ``trace (steps,
+version) differ``.  A fixed list of invocations outside the
 workloads (``gen`` for every family, refused options, ``coeffs``, ``table``
 and every ``--help``) is compared the same way.  Prints the number of
 differing jobs and invocations and exits 1 if any of them or any corpus
@@ -22,7 +23,6 @@ differs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -126,9 +126,9 @@ def run_job(src: Path, argv: list[str], trace: Path) -> dict:
                   "stderr": proc.stderr}
     except subprocess.TimeoutExpired:
         result = {"time": f"over {TIMEOUT_S} s"}
-    result["trace sha256"] = None
+    result["trace"] = None
     if trace.exists():
-        result["trace sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest()
+        result["trace"] = trace.read_bytes()
         trace.unlink()
     return result
 
@@ -150,8 +150,11 @@ def differing_fields(trees: dict, argv: list[str], trace: Path) -> list[str]:
     # a run that timed out differs, even from another that timed out
     fields = [f for f in {**parent, **change}
               if f == "time" or parent.get(f) != change.get(f)]
-    keys = json_keys_differing(parent.get("stdout"), change.get("stdout"))
-    return [f"{f} ({', '.join(keys)})" if f == "stdout" and keys else f for f in fields]
+    out = []
+    for f in fields:
+        keys = json_keys_differing(parent.get(f), change.get(f))
+        out.append(f"{f} ({', '.join(keys)})" if keys else f)
+    return out
 
 
 def main(argv=None) -> int:

@@ -25,12 +25,13 @@ search node carries the trail length at its push and undoes everything
 above it when it is popped.
 
 Removing or merging vertices can change a vertex's status only if its
-neighbourhood changed, so each search node carries a mask of the residual
-vertices whose status is unknown; every other residual vertex is known to
-be neither simplicial nor of degree 2.  The reduction scans only that mask,
-and the lowest simplicial vertex is always in it.  One pass over the final
-residual then builds the cover, in which a vertex can only join a clique
-holding one of its neighbours, and names the branch vertex.
+neighbourhood, or an edge inside it, changed, so each search node carries a
+mask of the residual vertices whose status is unknown; every other residual
+vertex is known to be neither simplicial nor of degree 2.  The reduction
+scans only that mask, and the lowest simplicial vertex is always in it.  One
+pass over the final residual then builds the cover, in which a vertex can
+only join a clique holding one of its neighbours, and names the branch
+vertex.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
             old = nbr[u]
             trail.append((u, old, vbit.bit_length() - 1, w))
             nbr[u] = (old | nbr[w]) & mask
-            xs = nbr[w] & mask & ~old
+            xs = gained = nbr[w] & mask & ~old
             while xs:
                 low = xs & -xs
                 xs ^= low
@@ -154,7 +155,10 @@ def exact_alpha(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
                 trail.append((x, nbr[x]))
                 nbr[x] ^= wbit | ubit
             size += 1
-            unknown = nbr[u] | ubit
+            # the neighbourhoods of u and of w's neighbours changed; an old
+            # neighbour of u keeps its own, which gains an edge only if it
+            # holds a vertex that gained u
+            unknown = (ubit | nbr[w] | (old & around(gained))) & mask
         if not mask:
             if size > best_size:
                 best_size = size

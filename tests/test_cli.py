@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_witness import members_in_any_numbering
 
 from alphabound import bounds, cli
 from alphabound.bounds import c_bound
@@ -492,28 +497,78 @@ def test_witness_output(tmp_path, capsys):
     assert payload["steps"][0]["share"] == "7/8"
 
 
+def expand_trace(payload: dict) -> dict:
+    """The version-1 payload of a version-2 trace, from the file alone: a
+    peel record's ``components`` become the sorted vertex lists of the
+    pieces the steps it names settle.  A base step's piece is its
+    ``vertices``, and a peel step's is its vertex, neighbours, isolated
+    vertices and its children's pieces, so pieces are rebuilt from the
+    last step back."""
+    assert payload["version"] == 2
+    steps = [dict(step) for step in payload["steps"]]
+    pieces = [None] * len(steps)
+    for i in reversed(range(len(steps))):
+        step = steps[i]
+        if step["type"] != "peel":
+            pieces[i] = step["vertices"]
+            continue
+        step["components"] = [pieces[j] for j in step["components"]]
+        pieces[i] = sorted([step["vertex"], *step["neighbors"], *step["isolated"],
+                            *(v for piece in step["components"] for v in piece)])
+    return {**{k: v for k, v in payload.items() if k != "version"}, "steps": steps}
+
+
+def in_memory_payload(graph: str, result) -> dict:
+    """The version-1 payload of a witness result: every component as its
+    vertex list, through the writer's encoding (tuples become lists,
+    fractions strings)."""
+    return {
+        "graph": graph,
+        "independent_set": list(result.independent_set),
+        "certified_bound": str(result.certified_bound),
+        "steps": [json.loads(json.dumps(_step_dict(s), default=cli._json_default))
+                  for s in result.trace],
+    }
+
+
 def test_witness_trace_has_one_line_per_step(tmp_path, capsys):
     path = gen_gstar(tmp_path, capsys)
     trace = tmp_path / "trace.json"
     code, _, _ = run(capsys, "witness", path, "--trace", str(trace))
     assert code == 0
     result = peel_witness(load_graph(path))
-    expected = {
-        "graph": path,
-        "independent_set": list(result.independent_set),
-        "certified_bound": str(result.certified_bound),
-        # through the writer's encoding: tuples become lists, fractions strings
-        "steps": [json.loads(json.dumps(_step_dict(s), default=cli._json_default))
-                  for s in result.trace],
-    }
     text = trace.read_text()
-    assert json.loads(text) == expected
+    payload = json.loads(text)
+    assert expand_trace(payload) == in_memory_payload(path, result)
     lines = text.splitlines()
-    # the top-level keys open the file and "]}" closes it
+    # the other top-level keys open the file and "]}" closes it
     assert len(lines) == len(result.trace) + 2
+    assert json.loads(lines[0] + "]}") == {**payload, "steps": []}
     assert lines[-1] == "]}"
-    for line, step in zip(lines[1:-1], expected["steps"]):
+    for line, step in zip(lines[1:-1], payload["steps"]):
         assert json.loads(line.rstrip(",")) == step
+
+
+@given(members_in_any_numbering())
+@settings(max_examples=100, deadline=None)
+def test_trace_names_each_component_by_its_step(g):
+    """The written trace expands to the in-memory one, and its component
+    indices form the pre-order tree of the steps: each step after the
+    first is named once, after its parent, one index per handoff."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, trace = os.path.join(tmp, "graph.txt"), os.path.join(tmp, "trace.json")
+        Path(graph).write_text(write_edge_list(g))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["witness", graph, "--trace", trace]) == 0
+        payload = json.loads(Path(trace).read_text())
+    assert expand_trace(payload) == in_memory_payload(graph, peel_witness(g))
+    named = []
+    for i, step in enumerate(payload["steps"]):
+        if step["type"] == "peel":
+            assert len(step["components"]) == len(step["handoff_shares"])
+            assert all(j > i for j in step["components"])
+            named += step["components"]
+    assert sorted(named) == list(range(1, len(payload["steps"])))
 
 
 def test_trace_step_keys_pinned(tmp_path, capsys):
@@ -527,7 +582,9 @@ def test_trace_step_keys_pinned(tmp_path, capsys):
     path.write_text(write_edge_list(Graph(22, edges)))
     trace = tmp_path / "trace.json"
     assert run(capsys, "witness", str(path), "--trace", str(trace))[0] == 0
-    steps = json.loads(trace.read_text())["steps"]
+    payload = json.loads(trace.read_text())
+    assert set(payload) == {"certified_bound", "graph", "independent_set", "steps", "version"}
+    steps = payload["steps"]
     assert [step["type"] for step in steps] == ["peel", "cycle", "complete", "coloring"]
     base = {"type", "vertices", "taken", "target", "owed"}
     assert {step["type"]: set(step) for step in steps} == {
@@ -546,34 +603,42 @@ def test_trace_refuses_values_json_cannot_write(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of
-# "witness graph.txt --trace trace.json", recorded before the peel moved to
-# an integer ledger; a faster peel must reproduce every pick and share
+# "witness graph.txt --trace trace.json": first of its version-1 form,
+# recorded before the peel moved to an integer ledger (a faster peel must
+# reproduce every pick and share), then of the version-2 file itself
 PINNED_TRACES = {
     "cycle_with_pendants(50)": (lambda: cycle_with_pendants(50),
-        "c12193f6b0fe0e8d9cb7878ad849067117434245880199994614e961f3b3f825"),
+        "c12193f6b0fe0e8d9cb7878ad849067117434245880199994614e961f3b3f825",
+        "0a81610e666fb290c163aeec687368efed0a52573ce51cda3800f7b7d0b404c4"),
     "random_connected(120,4,0)": (lambda: random_connected(120, 4, 0),
-        "749b9b1cd62f467695f66e23ce317b642c12aa5615b2594b8bf11074a7bd990b"),
+        "749b9b1cd62f467695f66e23ce317b642c12aa5615b2594b8bf11074a7bd990b",
+        "41a38ecaba677a719c2f1442280a4e98589eefd95cebde9f715a35d29e4b8a0a"),
     "random_connected(120,4,1)": (lambda: random_connected(120, 4, 1),
-        "31733b8cf8beea32ed33fc38c5d31f357b213dc1d63c3ef127ead9fe5120d02b"),
+        "31733b8cf8beea32ed33fc38c5d31f357b213dc1d63c3ef127ead9fe5120d02b",
+        "1ea5a272b845f39ad441c85c01f730484702a710dcbe717f79007ff10f6d4791"),
     "random_connected(120,4,2)": (lambda: random_connected(120, 4, 2),
-        "8148c329b86541fdd773c27a9be6ccb78968a5cbee9b7dd76dc8747a45f9bff7"),
+        "8148c329b86541fdd773c27a9be6ccb78968a5cbee9b7dd76dc8747a45f9bff7",
+        "5e039088745a4e7248c8aa2cf5b9df0f727c270c0a9907fdca5eea7ee4f36577"),
     "chain_blocks(4,5)": (lambda: chain_blocks(4, 5),
-        "d972c26ad40436befa5757b510f3750d9ef2a8f5b28ef09585708cf89b3ccb98"),
+        "d972c26ad40436befa5757b510f3750d9ef2a8f5b28ef09585708cf89b3ccb98",
+        "cbc1bdb51158420e7f88c6f0104b550f1bd0eb458e94587b3377900b4c13e8b0"),
     "attach_cliques(5,5,2)": (lambda: attach_cliques(5, 5, 2),
-        "41475c8572d0ddc19450d99cdae0360721ed2d1326dd05791657832ecfe7d949"),
+        "41475c8572d0ddc19450d99cdae0360721ed2d1326dd05791657832ecfe7d949",
+        "c97912b3aabd8b26f1d887a78c9bbeb34a6ceab736667ac69cf8a71f6ad3c404"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
 def test_witness_trace_matches_pinned_digest(name, tmp_path, capsys, monkeypatch):
-    build, digest = PINNED_TRACES[name]
+    build, v1_digest, v2_digest = PINNED_TRACES[name]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "graph.txt").write_text(write_edge_list(build()))
     code, _, _ = run(capsys, "witness", "graph.txt", "--trace", "trace.json")
     assert code == 0
     payload = json.loads((tmp_path / "trace.json").read_text())
-    text = json.dumps(payload, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for form, pinned in [(payload, v2_digest), (expand_trace(payload), v1_digest)]:
+        text = json.dumps(form, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned
 
 
 def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):

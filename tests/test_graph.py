@@ -193,7 +193,7 @@ def reference_components(g, active):
 
 @given(graphs_with_active_sets(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_seeded_components_match_unseeded(case, data):
+def test_components_from_meeting_seeds_match_reference(case, data):
     """Seeds that meet every component give the components of a full
     search, whichever seeds they are and however many."""
     g, active = case
