@@ -54,6 +54,8 @@ CLIQUE_TESTS = ("tests/test_witness.py::test_maximal_cliques_match_brute_force",
 
 PEEL_TRACE_TESTS = ("tests/test_witness.py::test_peel_trace_matches_reference",)
 
+TRACE_DIGEST_TESTS = ("tests/test_cli.py::test_witness_trace_matches_pinned_digest",)
+
 GOLDEN_TEST = "tests/test_exact.py::test_alpha_of_every_golden_random_member"
 
 EXACT_TESTS = ("tests/test_exact.py::test_matches_naive_enumeration", GOLDEN_TEST)
@@ -106,6 +108,9 @@ MUTANTS = [
            "[y for y in lost if lost[y] < deg[y]]", "list(lost)", PEEL_TRACE_TESTS),
     Mutant("peel-pick-any-upward", "src/alphabound/witness.py",
            "if deg[w] == dmax:", "if deg[w] > dmin:", PEEL_TRACE_TESTS),
+    Mutant("select-largest-source", "src/alphabound/witness.py",
+           "chain(sources, queue)", "chain(reversed([*sources]), queue)",
+           PEEL_TRACE_TESTS),
     Mutant("components-one-seed-short", "src/alphabound/graphcore.py",
            "if not pending:", "if len(pending) <= 1:",
            ("tests/test_graph.py::test_components_from_meeting_seeds_match_reference",)),
@@ -166,9 +171,10 @@ MUTANTS = [
                          ("share", "share <= scale"),
                          ("regular", "len(taken) * scale >= target"),
                          ("whole", "owed.denominator == 1")]],
-    Mutant("trace-child-index-off-by-one", "src/alphabound/cli.py",
-           "children.append(i)", "children.append(i + 1)",
-           ("tests/test_cli.py::test_witness_trace_matches_pinned_digest",)),
+    Mutant("trace-child-index-off-by-one", "src/alphabound/trace.py",
+           "children.append(i)", "children.append(i + 1)", TRACE_DIGEST_TESTS),
+    Mutant("trace-piece-drops-isolated", "src/alphabound/trace.py",
+           '*r["isolated"],', "", TRACE_DIGEST_TESTS),
     Mutant("limit-positive-zero", "src/alphabound/cli.py",
            "value < 1", "value < 0",
            ("tests/test_cli.py::test_option_errors_pinned",)),

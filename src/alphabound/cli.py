@@ -184,65 +184,12 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # witness
 
-TRACE_VERSION = 2
-
-
-def _step_dict(step) -> dict:
-    """A step's fields, with ``kind`` written as ``type`` and a peel step
-    typed ``"peel"``."""
-    fields = step._asdict()
-    fields["type"] = fields.pop("kind", "peel")
-    return fields
-
-
-def _trace_records(trace) -> list[dict]:
-    """The trace's records as written: each step's fields, with a peel
-    step's ``components`` as the indices of the steps that settle them, in
-    order.  The steps are in pre-order, so each step after the first is
-    the next child of the nearest peel step still short of children."""
-    records = []
-    parents = []    # (children, count) of peel records still short, innermost last
-    for i, step in enumerate(trace):
-        if parents:
-            children, count = parents[-1]
-            children.append(i)
-            if len(children) == count:
-                parents.pop()
-        fields = _step_dict(step)
-        if "components" in fields:
-            count = len(fields["components"])
-            fields["components"] = []
-            if count:
-                parents.append((fields["components"], count))
-        records.append(fields)
-    return records
-
-
-def _json_default(value):
-    """Exact values are written as strings such as ``"7/8"``."""
-    from fractions import Fraction
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def cmd_witness(args) -> int:
     g = load_graph(args.graph)
     result = _cli.peel_witness(g)
     size = len(result.independent_set)
     if args.trace:
-        head = json.dumps({
-            "graph": args.graph,
-            "independent_set": list(result.independent_set),
-            "certified_bound": str(result.certified_bound),
-            "version": TRACE_VERSION,
-        }, sort_keys=True)
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            # the other top-level keys on the first line, then one step per line
-            fh.write(head[:-1] + ', "steps": [\n')
-            fh.write(",\n".join(json.dumps(r, sort_keys=True, default=_json_default)
-                                 for r in _trace_records(result.trace)))
-            fh.write("\n]}\n")
+        _cli.trace.write(args.trace, args.graph, result)
     if args.json:
         print(json.dumps({
             "size": size,

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from test_witness import members_in_any_numbering
 
-from alphabound import bounds, cli
+from alphabound import bounds, cli, trace
 from alphabound.bounds import c_bound
-from alphabound.cli import _step_dict, main
+from alphabound.cli import main
 from alphabound.exact import DEFAULT_BUDGET
 from alphabound.families import (attach_cliques, chain_blocks,
                                  cycle_with_pendants, petersen_graph,
@@ -499,36 +499,29 @@ def test_witness_output(tmp_path, capsys):
 
 def expand_trace(payload: dict) -> dict:
     """The version-1 payload of a version-2 trace, from the file alone: a
-    peel record's ``components`` become the sorted vertex lists of the
-    pieces the steps it names settle.  A base step's piece is its
-    ``vertices``, and a peel step's is its vertex, neighbours, isolated
-    vertices and its children's pieces, so pieces are rebuilt from the
-    last step back."""
+    peel record's ``components`` become the sorted vertex lists that
+    ``trace.pieces`` gives the records it names."""
     assert payload["version"] == 2
-    steps = [dict(step) for step in payload["steps"]]
-    pieces = [None] * len(steps)
-    for i in reversed(range(len(steps))):
-        step = steps[i]
-        if step["type"] != "peel":
-            pieces[i] = step["vertices"]
-            continue
-        step["components"] = [pieces[j] for j in step["components"]]
-        pieces[i] = sorted([step["vertex"], *step["neighbors"], *step["isolated"],
-                            *(v for piece in step["components"] for v in piece)])
+    settled = trace.pieces(payload["steps"])
+    steps = [{**r, "components": [settled[j] for j in r["components"]]}
+             if r["type"] == "peel" else r for r in payload["steps"]]
     return {**{k: v for k, v in payload.items() if k != "version"}, "steps": steps}
 
 
 def in_memory_payload(graph: str, result) -> dict:
-    """The version-1 payload of a witness result: every component as its
-    vertex list, through the writer's encoding (tuples become lists,
+    """The version-1 payload of a witness result: ``trace.records`` with
+    every component as its vertex list, through JSON (tuples become lists,
     fractions strings)."""
-    return {
+    steps = trace.records(result.trace)
+    for record, step in zip(steps, result.trace):
+        if record["type"] == "peel":
+            record["components"] = step.components
+    return json.loads(json.dumps({
         "graph": graph,
-        "independent_set": list(result.independent_set),
-        "certified_bound": str(result.certified_bound),
-        "steps": [json.loads(json.dumps(_step_dict(s), default=cli._json_default))
-                  for s in result.trace],
-    }
+        "independent_set": result.independent_set,
+        "certified_bound": result.certified_bound,
+        "steps": steps,
+    }, default=str))
 
 
 def test_witness_trace_has_one_line_per_step(tmp_path, capsys):
@@ -600,6 +593,13 @@ def test_trace_refuses_values_json_cannot_write(tmp_path, capsys, monkeypatch):
                         lambda g: WitnessResult((0,), Fraction(1), (step,)))
     with pytest.raises(TypeError, match="type frozenset is not JSON serializable"):
         main(["witness", path, "--trace", str(tmp_path / "trace.json")])
+
+
+def test_trace_into_missing_directory_fails_cleanly(tmp_path, capsys):
+    path = gen_gstar(tmp_path, capsys)
+    target = str(tmp_path / "missing" / "t.json")
+    assert run(capsys, "witness", path, "--trace", target) == (
+        2, "", f"error: [Errno 2] No such file or directory: {target!r}\n")
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of

@@ -8,7 +8,8 @@ import pytest
 
 import alphabound
 
-SUBMODULES = ("bounds", "cli", "coeffs", "exact", "families", "graphcore", "witness")
+SUBMODULES = ("bounds", "cli", "coeffs", "exact", "families", "graphcore", "trace",
+              "witness")
 
 
 def test_all_is_sorted_and_unique():
@@ -58,17 +59,21 @@ def test_cli_start_up_leaves_out_dataclasses():
 # CLI job compiles each module it imports from source
 LEFT_OUT = {
     ("exact", "GRAPH"): ("alphabound.coeffs", "alphabound.bounds", "alphabound.witness",
-                         "alphabound.families", "fractions"),
-    ("bound", "GRAPH"): ("alphabound.witness", "alphabound.families"),
-    ("witness", "GRAPH"): ("alphabound.families", "alphabound.exact"),
-    ("verify", "GRAPH"): ("alphabound.families",),
-    ("verify", "GRAPH", "--exact-threshold", "0"): ("alphabound.families", "alphabound.exact"),
+                         "alphabound.families", "alphabound.trace", "fractions"),
+    ("bound", "GRAPH"): ("alphabound.witness", "alphabound.families", "alphabound.trace"),
+    ("witness", "GRAPH"): ("alphabound.families", "alphabound.exact", "alphabound.trace"),
+    ("witness", "GRAPH", "--trace", "FILE"): ("alphabound.families", "alphabound.exact"),
+    ("verify", "GRAPH"): ("alphabound.families", "alphabound.trace"),
+    ("verify", "GRAPH", "--exact-threshold", "0"): ("alphabound.families", "alphabound.exact",
+                                                    "alphabound.trace"),
     ("gen", "pendant-cycle", "--cycle", "5"): ("alphabound.coeffs", "alphabound.bounds",
-                                               "alphabound.witness"),
+                                               "alphabound.witness", "alphabound.trace"),
     ("coeffs", "--delta", "5"): ("alphabound.bounds", "alphabound.witness",
-                                 "alphabound.exact", "alphabound.families"),
+                                 "alphabound.exact", "alphabound.families",
+                                 "alphabound.trace"),
     ("table", "--delta", "5"): ("alphabound.bounds", "alphabound.witness",
-                                "alphabound.exact", "alphabound.families"),
+                                "alphabound.exact", "alphabound.families",
+                                "alphabound.trace"),
 }
 
 # and the module that does each command's work, which it must import
@@ -85,15 +90,18 @@ def test_each_command_imports_only_what_it_runs(argv, tmp_path):
     graph = tmp_path / "graph.txt"
     graph.write_text(write_edge_list(cycle_with_pendants(6)))
     env = dict(os.environ, PYTHONPATH=str(Path(alphabound.__file__).resolve().parents[1]))
+    paths = {"GRAPH": str(graph), "FILE": str(tmp_path / "trace.json")}
     run = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "alphabound.cli",
-         *(str(graph) if arg == "GRAPH" else arg for arg in argv)],
+         *(paths.get(arg, arg) for arg in argv)],
         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     # each "import time:" line ends in "| name", indented by nesting
     imported = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")}
     assert RUNS[argv[0]] in imported
+    if "--trace" in argv:
+        assert "alphabound.trace" in imported
     assert sorted(imported & set(LEFT_OUT[argv])) == []
 
 

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +47,27 @@ def reference_select(g, active):
     while parent[v] != -1:
         v = parent[v]
     return v
+
+
+def distance_select(g, active):
+    """The pick from the other end: a layered search backwards from the
+    maximum-degree vertices, expanding only vertices of degree above the
+    minimum, gives the smallest minimum-degree vertex in the first layer
+    that reaches one."""
+    vset = set(active)
+    nbr = g.neighbor_sets()
+    deg = {v: len(nbr[v] & vset) for v in vset}
+    dmin, dmax = min(deg.values()), max(deg.values())
+    layer = {v for v in vset if deg[v] == dmax}
+    seen = set(layer)
+    while layer:
+        reached = [v for v in layer if deg[v] == dmin]
+        if reached:
+            return min(reached)
+        # no vertex of this layer has the minimum degree: expand them all
+        layer = {w for v in layer for w in nbr[v] & vset} - seen
+        seen |= layer
+    return None
 
 
 small_members = st.one_of(
@@ -109,14 +130,18 @@ def reference_peel(g):
 @settings(max_examples=150, deadline=None)
 def test_peel_trace_matches_reference(g):
     """Every step of the peel's trace equals the reference peel's: the
-    pick, its neighbours, the isolated vertices, the components in order,
-    and every share, target and owed value.  A base case may take any
-    independent set of its piece that meets its weight."""
+    pick, which the backward search finds too, its neighbours, the
+    isolated vertices, the components in order, and every share, target
+    and owed value.  A base case may take any independent set of its piece
+    that meets its weight."""
     r = peel_witness(g)
     for step, ref in zip(r.trace, reference_peel(g), strict=True):
         assert type(step) is type(ref)
         if isinstance(step, PeelStep):
             assert step == ref
+            piece = {step.vertex, *step.neighbors, *step.isolated,
+                     *chain.from_iterable(step.components)}
+            assert distance_select(g, piece) == step.vertex
             continue
         assert step._replace(taken=()) == ref
         assert set(step.taken) <= set(step.vertices)
