@@ -64,6 +64,8 @@ FOLD_TESTS = ("tests/test_exact.py::test_best_sets_independent_in_input_numberin
 
 PARSE_TESTS = ("tests/test_graph.py::test_parse_error_messages_unchanged",)
 
+BULK_TESTS = ("tests/test_graph.py::test_bulk_and_line_parsers_agree",)
+
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
            "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
@@ -192,6 +194,24 @@ MUTANTS = [
     Mutant("number-digit-cap", "src/alphabound/graphcore.py",
            "<= _MAX_DIGITS", "<= 2 * _MAX_DIGITS",
            ("tests/test_graph.py::test_long_numbers_refused_whatever_the_digit_limit",)),
+    Mutant("bulk-layout-takes-signs", "src/alphabound/graphcore.py",
+           'b"0123456789")', 'b"0123456789+-")', BULK_TESTS),
+    Mutant("bulk-token-count-unchecked", "src/alphabound/graphcore.py",
+           "len(tokens) != 2 * lines or ", "", BULK_TESTS),
+    Mutant("bulk-prefix-token-unchecked", "src/alphabound/graphcore.py",
+           "tokens[::3].count(prefix.strip()) != lines", "False", BULK_TESTS),
+    Mutant("bulk-digit-cap", "src/alphabound/graphcore.py",
+           "default=0) > _MAX_DIGITS", "default=0) > 2 * _MAX_DIGITS", BULK_TESTS),
+    Mutant("bulk-self-loops-kept", "src/alphabound/graphcore.py",
+           "if any(map(eq, nums[::2], nums[1::2])):", "if False:", BULK_TESTS),
+    Mutant("bulk-dimacs-range-low", "src/alphabound/graphcore.py",
+           "1 <= min(nums)", "0 <= min(nums)", BULK_TESTS),
+    Mutant("bulk-dimacs-range-high", "src/alphabound/graphcore.py",
+           "max(nums) <= n", "max(nums) <= n + 1", BULK_TESTS),
+    Mutant("bulk-comment-head-any-break", "src/alphabound/graphcore.py",
+           'text[:start].replace("\\n", "").isprintable()', "True", BULK_TESTS),
+    Mutant("bulk-dimacs-head-any-break", "src/alphabound/graphcore.py",
+           "and head.isprintable()", "", BULK_TESTS),
     Mutant("utf8-line-no-stand-in", "src/alphabound/graphcore.py",
            '.decode("utf-8") + "?"', '.decode("utf-8")',
            ("tests/test_cli.py::test_undecodable_input_names_file_and_line",)),

@@ -186,10 +186,28 @@ def cmd_bound(args) -> int:
 
 def cmd_witness(args) -> int:
     g = load_graph(args.graph)
-    result = _cli.peel_witness(g)
-    size = len(result.independent_set)
+    trace_file = None
     if args.trace:
-        _cli.trace.write(args.trace, args.graph, result)
+        # opened before the peel, so an unwritable path fails at once, but
+        # not truncated: a run that fails leaves a file already at the path
+        # as it was, and removes one it created
+        created = not os.path.lexists(args.trace)
+        trace_file = open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666),
+                          "w", encoding="utf-8")
+    try:
+        result = _cli.peel_witness(g)
+        if trace_file is not None:
+            with trace_file:
+                _cli.trace.write(trace_file, args.graph, result)
+                if trace_file.seekable():
+                    trace_file.truncate()   # what an older file held past the trace
+    except BaseException:
+        if trace_file is not None:
+            trace_file.close()
+            if created:
+                os.remove(args.trace)
+        raise
+    size = len(result.independent_set)
     if args.json:
         print(json.dumps({
             "size": size,

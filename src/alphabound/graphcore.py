@@ -10,7 +10,7 @@ never copy a graph.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from operator import eq
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 
@@ -237,13 +237,60 @@ def _number(token: str) -> int:
     raise ValueError(token)
 
 
+def _bulk_numbers(body: str, prefix: bytes) -> Optional[list[int]]:
+    """The vertex numbers of ``body`` in file order, read in a few bulk
+    passes, when every line is ``prefix`` and then two ASCII-digit numbers
+    of at most _MAX_DIGITS digits, with single spaces, ends in ``\n`` and
+    is no self-loop: the layout the writers and ``gen`` produce.  None for
+    any other text, which the line parsers then read."""
+    if not body.isascii():
+        return None
+    data = body.encode()
+    lines = data.count(b"\n")
+    # with its digits deleted, each line must leave its prefix and " \n"
+    if data.translate(None, b"0123456789") != (prefix + b" \n") * lines:
+        return None
+    tokens = data.split()
+    del data
+    if prefix:          # each line's first token must be the prefix, alone
+        if tokens[::3].count(prefix.strip()) != lines:
+            return None
+        del tokens[::3]
+    if len(tokens) != 2 * lines or max(map(len, tokens), default=0) > _MAX_DIGITS:
+        return None
+    nums = list(map(int, tokens))
+    del tokens
+    if any(map(eq, nums[::2], nums[1::2])):
+        return None
+    return nums
+
+
 def parse_edge_list(text: str) -> Graph:
     """Whitespace-separated ``u v`` lines; ``#`` starts a comment.
 
     Vertex numbers are nonnegative integers, not necessarily dense; they are
     renumbered to 0..n-1 in increasing order.
     """
-    raw_edges = []
+    start = 0
+    while text.startswith("#", start):      # leading comment lines
+        start = text.find("\n", start) + 1 or len(text)
+    nums = None
+    if text[:start].replace("\n", "").isprintable():   # no other line break
+        nums = _bulk_numbers(text[start:], b"")
+    if nums is None:
+        nums = _edge_list_lines(text)
+    ids = set(nums)
+    if ids and max(ids) != len(ids) - 1:
+        # distinct nonnegative numbers up to len-1 would be 0..n-1 already
+        index = {x: i for i, x in enumerate(sorted(ids))}
+        nums = list(map(index.__getitem__, nums))
+    pairs = iter(nums)
+    return Graph(len(ids), zip(pairs, pairs))
+
+
+def _edge_list_lines(text: str) -> list[int]:
+    """The vertex numbers of an edge list in file order, read line by line."""
+    nums = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.partition("#")[0].split()
         if len(tokens) != 2:
@@ -260,18 +307,46 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative vertex label")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at {u}")
-        raw_edges.append((u, v))
-    ids = set(chain.from_iterable(raw_edges))
-    if not ids or max(ids) == len(ids) - 1:
-        # distinct nonnegative numbers up to len-1 are already 0..n-1
-        return Graph(len(ids), raw_edges)
-    ids = sorted(ids)
-    index = {x: i for i, x in enumerate(ids)}
-    return Graph(len(ids), [(index[u], index[v]) for u, v in raw_edges])
+        nums += u, v
+    return nums
 
 
 def parse_dimacs(text: str) -> Graph:
     """``p edge n m`` header and ``e u v`` lines, 1-based vertices."""
+    head, _, body = text.partition("\n")
+    tokens = head.split()
+    nums = None
+    if tokens[:1] == ["p"] and head.isprintable():     # a one-line header
+        nums = _bulk_numbers(body, b"e ")
+    del body
+    if nums is not None:
+        n = _dimacs_header(tokens, 1, len(text))
+        if not nums or 1 <= min(nums) and max(nums) <= n:
+            shift = list(range(-1, n))      # one int per vertex, not per end
+            pairs = iter(list(map(shift.__getitem__, nums)))
+            del nums
+            return Graph(n, zip(pairs, pairs))
+    return _dimacs_lines(text)
+
+
+def _dimacs_header(tokens: list[str], lineno: int, size: int) -> int:
+    """The vertex count of a ``p`` line in a file of ``size`` characters."""
+    if len(tokens) != 4 or tokens[1] != "edge":
+        raise ParseError(f"line {lineno}: expected 'p edge n m'")
+    try:
+        n = _number(tokens[2])
+        _number(tokens[3])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad header counts") from None
+    if n < 0:
+        raise ParseError(f"line {lineno}: negative vertex count")
+    if n > size:        # refuse before Graph allocates one list per vertex
+        raise ParseError(f"line {lineno}: more vertices than the file has characters")
+    return n
+
+
+def _dimacs_lines(text: str) -> Graph:
+    """A DIMACS file read line by line."""
     n = None
     edges = []
     lineno = 1                  # what a header-less file's message names
@@ -296,17 +371,7 @@ def parse_dimacs(text: str) -> Graph:
         elif tokens[0] == "p":
             if n is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(f"line {lineno}: expected 'p edge n m'")
-            try:
-                n = _number(tokens[2])
-                _number(tokens[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad header counts") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative vertex count")
-            if n > len(text):   # refuse before Graph allocates one list per vertex
-                raise ParseError(f"line {lineno}: more vertices than the file has characters")
+            n = _dimacs_header(tokens, lineno, len(text))
         else:
             raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:

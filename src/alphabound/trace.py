@@ -45,20 +45,22 @@ def _json_default(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def write(path: str, graph: str, result) -> None:
+def write(file, graph: str, result) -> None:
     """Write the trace of the witness ``result`` for the graph file named
-    ``graph`` to ``path``."""
+    ``graph`` to the open text file ``file``.  Every record is encoded
+    before the first byte is written, so a value JSON cannot encode leaves
+    the file as it was."""
     head = json.dumps({
         "graph": graph,
         "independent_set": list(result.independent_set),
         "certified_bound": str(result.certified_bound),
         "version": VERSION,
     }, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head[:-1] + ', "steps": [\n')
-        fh.write(",\n".join(json.dumps(r, sort_keys=True, default=_json_default)
-                            for r in records(result.trace)))
-        fh.write("\n]}\n")
+    steps = ",\n".join(json.dumps(r, sort_keys=True, default=_json_default)
+                       for r in records(result.trace))
+    file.write(head[:-1] + ', "steps": [\n')
+    file.write(steps)
+    file.write("\n]}\n")
 
 
 def pieces(records) -> list[list[int]]:

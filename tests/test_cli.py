@@ -19,7 +19,7 @@ from alphabound import bounds, cli, trace
 from alphabound.bounds import c_bound
 from alphabound.cli import main
 from alphabound.exact import DEFAULT_BUDGET
-from alphabound.families import (attach_cliques, chain_blocks,
+from alphabound.families import (attach_cliques, chain_blocks, complete_graph,
                                  cycle_with_pendants, petersen_graph,
                                  random_connected, star_graph)
 from alphabound.graphcore import Graph, degree_profile, load_graph, write_edge_list
@@ -589,17 +589,46 @@ def test_trace_step_keys_pinned(tmp_path, capsys):
 def test_trace_refuses_values_json_cannot_write(tmp_path, capsys, monkeypatch):
     path = gen_gstar(tmp_path, capsys)
     step = BaseStep("complete", (0,), frozenset({0}), Fraction(1), Fraction(1))
-    monkeypatch.setattr(cli, "peel_witness",
-                        lambda g: WitnessResult((0,), Fraction(1), (step,)))
+    result = WitnessResult((0,), Fraction(1), (step,))
+    monkeypatch.setattr(cli, "peel_witness", lambda g: result)
     with pytest.raises(TypeError, match="type frozenset is not JSON serializable"):
         main(["witness", path, "--trace", str(tmp_path / "trace.json")])
+    # every record is encoded before the file is written: no half a trace
+    assert not (tmp_path / "trace.json").exists()
+    with open(tmp_path / "direct.json", "w") as fh, pytest.raises(
+            TypeError, match="type frozenset is not JSON serializable"):
+        trace.write(fh, path, result)
+    assert (tmp_path / "direct.json").read_text() == ""
 
 
-def test_trace_into_missing_directory_fails_cleanly(tmp_path, capsys):
+def test_trace_into_missing_directory_fails_cleanly(tmp_path, capsys, monkeypatch):
     path = gen_gstar(tmp_path, capsys)
     target = str(tmp_path / "missing" / "t.json")
+
+    def no_peel(g):
+        raise AssertionError("the peel ran before the trace file was opened")
+
+    monkeypatch.setattr(cli, "peel_witness", no_peel)
     assert run(capsys, "witness", path, "--trace", target) == (
         2, "", f"error: [Errno 2] No such file or directory: {target!r}\n")
+
+
+def test_refused_witness_leaves_no_trace_file(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(write_edge_list(complete_graph(4)))
+    target = tmp_path / "t.json"
+    assert run(capsys, "witness", str(path), "--trace", str(target)) == (
+        2, "", "error: not in class: graph is the complete graph on 4 vertices\n")
+    assert not target.exists()
+    # a file already at the path is left as it was, and a trace shorter
+    # than the file it replaces leaves none of its bytes
+    target.write_text("kept")
+    assert run(capsys, "witness", str(path), "--trace", str(target))[0] == 2
+    assert target.read_text() == "kept"
+    gstar = gen_gstar(tmp_path, capsys)
+    target.write_text("x" * 100_000)
+    assert run(capsys, "witness", gstar, "--trace", str(target))[0] == 0
+    assert json.loads(target.read_text())["version"] == trace.VERSION
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of

@@ -1,11 +1,13 @@
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphabound.families import circulant_graph, complete_graph
+from alphabound import graphcore
+from alphabound.families import circulant_graph, complete_graph, random_connected
 from alphabound.graphcore import (Graph, ParseError, _bfs, components_within,
                                   degree_profile, is_in_class, load_graph,
                                   parse_dimacs, parse_edge_list, parse_graph,
@@ -506,3 +508,111 @@ def test_dimacs_header_count_up_to_file_length():
     assert parse_dimacs("p edge 12 0\n").n == 12          # 12 characters
     with pytest.raises(ParseError, match="line 2: more vertices"):
         parse_dimacs("c x\np edge 17 0\n")                 # 16 characters
+
+
+# --- bulk reading -------------------------------------------------------------
+# Files in the layout gen and the writers produce are read in bulk passes;
+# every other text goes to the line parsers, which define the grammar and
+# every message.  Either way a file gives the same graph or the same error.
+
+PERTURBATIONS = (
+    "none", "tab", "two spaces", "crlf", "blank line", "# comment", "c line",
+    "no final newline", "leading zeros", "4300 digits", "4301 digits",
+    "self-loop", "-1", "+3", "\u0663", "vertex 0", "vertex n+1", "header n",
+    # three that keep the layout in part: a number left out, a digit before
+    # the line's first token, the first line ended by \x0b
+    "number left out", "digit first", "vertical tab")
+
+
+@st.composite
+def written_files(draw, kind):
+    """A class member written canonically as a dense edge list, with sparse
+    labels under a ``#`` header line, or as DIMACS, in any edge order and
+    orientation, then changed by the perturbation ``kind``."""
+    g = random_connected(draw(st.integers(6, 12)), draw(st.integers(3, 4)),
+                         draw(st.integers(0, 999)))
+    edges = [(u, v) if draw(st.booleans()) else (v, u)
+             for u, v in draw(st.permutations(list(g.edges())))]
+    form = draw(st.sampled_from(("dense", "sparse", "dimacs")))
+    if form == "sparse":
+        names = sorted(draw(st.sets(st.integers(0, 10 ** 6), min_size=g.n, max_size=g.n)))
+        head, lines = [f"# sparse labels, n={g.n}"], [f"{names[u]} {names[v]}" for u, v in edges]
+    elif form == "dimacs":
+        head, lines = [f"p edge {g.n} {g.m}"], [f"e {u + 1} {v + 1}" for u, v in edges]
+    else:
+        head, lines = [], [f"{u} {v}" for u, v in edges]
+    i = draw(st.integers(0, len(lines) - 1))        # the line changed
+    words = lines[i].split(" ")
+    j = len(words) - draw(st.integers(1, 2))        # the number changed
+    if kind == "leading zeros":
+        words[j] = "00" + words[j]
+    elif kind in ("4300 digits", "4301 digits"):
+        fill = draw(st.sampled_from("09"))      # the same number, or a huge one
+        words[j] = words[j].rjust(int(kind[:4]), fill)
+    elif kind == "self-loop":
+        words[-1] = words[-2]
+    elif kind in ("-1", "+3", "\u0663", "vertex 0", "vertex n+1"):
+        words[j] = {"vertex 0": "0", "vertex n+1": str(g.n + 1)}.get(kind, kind)
+    elif kind == "number left out":
+        words[j] = ""
+    elif kind == "digit first":
+        words[0] = "7" + words[0]
+    lines[i] = " ".join(words)
+    if kind in ("tab", "two spaces"):
+        lines[i] = lines[i].replace(" ", "\t" if kind == "tab" else "  ", 1)
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif kind in ("blank line", "# comment", "c line"):
+        lines.insert(i, {"blank line": "", "# comment": "# note", "c line": "c note"}[kind])
+    elif kind == "header n" and form == "dimacs":
+        head = [f"p edge {10 ** 6} {g.m}"]      # more than the file's characters
+    text = "".join(line + "\n" for line in head + lines)
+    if kind == "vertical tab":
+        text = text.replace("\n", "\x0b", 1)
+    elif kind == "no final newline":
+        text = text[:-1]
+    return text
+
+
+def outcome(text):
+    try:
+        g = parse_graph(text)
+    except ParseError as exc:
+        return str(exc)
+    return g.n, g.adj
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bulk_and_line_parsers_agree(kind, limit, data):
+    # parse each text as shipped and with the bulk reader off
+    text = data.draw(written_files(kind))
+    default = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        shipped = outcome(text)
+        with mock.patch.object(graphcore, "_bulk_numbers", lambda body, prefix: None):
+            by_lines = outcome(text)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert shipped == by_lines
+
+
+def test_canonical_files_never_reach_the_line_parsers(monkeypatch):
+    def refuse(text):
+        raise AssertionError("a canonical file reached the line parser")
+
+    monkeypatch.setattr(graphcore, "_edge_list_lines", refuse)
+    monkeypatch.setattr(graphcore, "_dimacs_lines", refuse)
+    g = random_connected(200, 4, 1)
+    labels = range(7, 7 * g.n + 7, 7)
+    sparse = f"# sparse labels, n={g.n}\n" + "".join(
+        f"{labels[v]} {labels[u]}\n" for u, v in g.edges())
+    for text in (write_edge_list(g), write_edge_list(g, header="gen random"),
+                 write_dimacs(g), sparse):
+        assert parse_graph(text) == g
