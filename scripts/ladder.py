@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parse-layer ladder: ``parse_graph`` timed in-process on growing files.
 
-    python3 scripts/ladder.py --label NAME --out FILE [--src DIR] [--cap S]
+    python3 scripts/ladder.py --label NAME --out FILE [--src DIR]
 
 Each rung parses one file text, built before timing: ``circulant_graph(n,
 [1, 2])`` with n vertices, or ``cycle_with_pendants(n // 2)`` with n + 1,
@@ -9,9 +9,8 @@ written as a dense edge list (``write_edge_list``), with sparse labels
 under a ``#`` header line (as ``perfbench/corpus.py`` writes them), or as
 DIMACS (``write_dimacs``), for n = 10^4, 4*10^4, 1.6*10^5 and 6.4*10^5.  A
 rung records the best wall time of three parses and the tracemalloc peak of
-one more.  A rung whose first parse takes longer than the cap (10 s unless
-``--cap`` says otherwise) is recorded as skipped, and so is every larger
-rung of its series.
+one more.  A rung whose first parse takes longer than CAP_S seconds is
+recorded as skipped, and so is every larger rung of its series.
 
 The rungs are stored in the JSON object in FILE under the key NAME; other
 keys are kept, so one file can hold the rungs of two trees.  ``--src``
@@ -34,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (10_000, 40_000, 160_000, 640_000)
 SAMPLES = 3
+CAP_S = 10.0
 
 
 def texts(family: str, n: int) -> tuple[int, int, dict[str, str]]:
@@ -49,14 +49,14 @@ def texts(family: str, n: int) -> tuple[int, int, dict[str, str]]:
                       "dimacs": write_dimacs(g)}
 
 
-def measure(parse, text: str, cap: float) -> dict:
+def measure(parse, text: str) -> dict:
     times = []
     for _ in range(SAMPLES):
         start = time.perf_counter()
         parse(text)
         times.append(time.perf_counter() - start)
-        if times[0] > cap:
-            return {"skipped": f"first parse took {times[0]:.1f} s, over the {cap:g} s cap"}
+        if times[0] > CAP_S:
+            return {"skipped": f"first parse took {times[0]:.1f} s, over the {CAP_S:g} s cap"}
     tracemalloc.start()
     try:
         parse(text)
@@ -73,7 +73,6 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--src", default=str(ROOT / "src"))
-    p.add_argument("--cap", type=float, default=10.0)
     args = p.parse_args(argv)
     sys.path.insert(0, args.src)
     from alphabound.graphcore import parse_graph
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
                 if (family, fmt) in over:
                     rung["skipped"] = "a smaller rung of this series was over the cap"
                 else:
-                    rung.update(measure(parse_graph, text, args.cap))
+                    rung.update(measure(parse_graph, text))
                     if "skipped" in rung:
                         over.add((family, fmt))
                 rungs.append(rung)
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
     runs = json.loads(out.read_text()) if out.exists() else {}
     runs[args.label] = {
         "python": platform.python_version(), "machine": platform.machine(),
-        "cpus": os.cpu_count(), "samples": SAMPLES, "cap_s": args.cap, "rungs": rungs}
+        "cpus": os.cpu_count(), "samples": SAMPLES, "cap_s": CAP_S, "rungs": rungs}
     out.write_text(json.dumps(runs, indent=1) + "\n")
     return 0
 

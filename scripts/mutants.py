@@ -202,6 +202,9 @@ MUTANTS = [
            "tokens[::3].count(prefix.strip()) != lines", "False", BULK_TESTS),
     Mutant("bulk-digit-cap", "src/alphabound/graphcore.py",
            "default=0) > _MAX_DIGITS", "default=0) > 2 * _MAX_DIGITS", BULK_TESTS),
+    Mutant("bulk-int-refusal-raised", "src/alphabound/graphcore.py",
+           "except ValueError:  # over a digit limit", "except ZeroDivisionError:  #",
+           BULK_TESTS),
     Mutant("bulk-self-loops-kept", "src/alphabound/graphcore.py",
            "if any(map(eq, nums[::2], nums[1::2])):", "if False:", BULK_TESTS),
     Mutant("bulk-dimacs-range-low", "src/alphabound/graphcore.py",

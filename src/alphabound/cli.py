@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from typing import Optional
 
@@ -199,7 +200,7 @@ def cmd_witness(args) -> int:
         if trace_file is not None:
             with trace_file:
                 _cli.trace.write(trace_file, args.graph, result)
-                if trace_file.seekable():
+                if stat.S_ISREG(os.fstat(trace_file.fileno()).st_mode):
                     trace_file.truncate()   # what an older file held past the trace
     except BaseException:
         if trace_file is not None:

@@ -258,7 +258,10 @@ def _bulk_numbers(body: str, prefix: bytes) -> Optional[list[int]]:
         del tokens[::3]
     if len(tokens) != 2 * lines or max(map(len, tokens), default=0) > _MAX_DIGITS:
         return None
-    nums = list(map(int, tokens))
+    try:
+        nums = list(map(int, tokens))
+    except ValueError:  # over a digit limit lowered below _MAX_DIGITS
+        return None
     del tokens
     if any(map(eq, nums[::2], nums[1::2])):
         return None

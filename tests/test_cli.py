@@ -629,6 +629,9 @@ def test_refused_witness_leaves_no_trace_file(tmp_path, capsys):
     target.write_text("x" * 100_000)
     assert run(capsys, "witness", gstar, "--trace", str(target))[0] == 0
     assert json.loads(target.read_text())["version"] == trace.VERSION
+    # a device is written but never truncated
+    code, out, err = run(capsys, "witness", gstar, "--trace", os.devnull)
+    assert (code, err) == (0, "") and out.endswith(f" written to {os.devnull}\n")
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of

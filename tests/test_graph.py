@@ -584,7 +584,8 @@ def outcome(text):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="this Python has no limit on int digits")
-@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+@pytest.mark.parametrize("limit", [None, 0, 640],
+                         ids=["default-limit", "no-limit", "lowest-limit"])
 @pytest.mark.parametrize("kind", PERTURBATIONS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
