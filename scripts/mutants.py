@@ -66,6 +66,8 @@ PARSE_TESTS = ("tests/test_graph.py::test_parse_error_messages_unchanged",)
 
 BULK_TESTS = ("tests/test_graph.py::test_bulk_and_line_parsers_agree",)
 
+PINNED_TESTS = ("tests/test_cli.py::test_invocation_pinned",)
+
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
            "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
@@ -135,8 +137,7 @@ MUTANTS = [
            "tree[pos + step] <= r", "tree[pos + step] < r",
            ("tests/test_families.py::test_random_connected_matches_list_reference",)),
     Mutant("table-gap-signed", "src/alphabound/cli.py",
-           '.lstrip("-")', "",
-           ("tests/test_cli.py::test_table_output_pinned",)),
+           '.lstrip("-")', "", PINNED_TESTS),
     Mutant("pick-step-from-last-vertex", "src/alphabound/witness.py",
            "via[v] if v in via else (v, w)", "(v, w)", PEEL_TRACE_TESTS),
     Mutant("sign-zero-positive", "src/alphabound/coeffs.py",
@@ -178,8 +179,12 @@ MUTANTS = [
     Mutant("trace-piece-drops-isolated", "src/alphabound/trace.py",
            '*r["isolated"],', "", TRACE_DIGEST_TESTS),
     Mutant("limit-positive-zero", "src/alphabound/cli.py",
-           "value < 1", "value < 0",
-           ("tests/test_cli.py::test_option_errors_pinned",)),
+           "value < 1", "value < 0", PINNED_TESTS),
+    Mutant("trace-empty-path-omitted", "src/alphabound/cli.py",
+           "trace_file = None\n    if args.trace is not None:",
+           "trace_file = None\n    if args.trace:", PINNED_TESTS),
+    Mutant("output-empty-path-stdout", "src/alphabound/cli.py",
+           "if args.output is not None:", "if args.output:", PINNED_TESTS),
     Mutant("limit-cap-inclusive", "src/alphabound/cli.py",
            "value > cap", "value >= cap",
            ("tests/test_cli.py::test_size_caps_refuse_before_allocating",)),

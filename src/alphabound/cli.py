@@ -188,7 +188,7 @@ def cmd_bound(args) -> int:
 def cmd_witness(args) -> int:
     g = load_graph(args.graph)
     trace_file = None
-    if args.trace:
+    if args.trace is not None:
         # opened before the peel, so an unwritable path fails at once, but
         # not truncated: a run that fails leaves a file already at the path
         # as it was, and removes one it created
@@ -224,7 +224,7 @@ def cmd_witness(args) -> int:
           f"(= {_cli.render_decimal(result.certified_bound)})")
     print(f"check: {size} >= {result.certified_bound}: ok")
     print(f"trace: {len(result.trace)} steps"
-          + (f" written to {args.trace}" if args.trace else ""))
+          + (f" written to {args.trace}" if args.trace is not None else ""))
     return 0
 
 
@@ -300,7 +300,7 @@ def cmd_gen(args) -> int:
     header = " ".join([f"gen {args.family}",
                        *(f"{name}={v}" for name, v in zip(names, values))])
     text = write_edge_list(build(*values), header=header)
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -91,9 +91,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(map(len, self.adj), default=0)
 
-    def min_degree(self) -> int:
-        return min(map(len, self.adj), default=0)
-
     def is_connected(self) -> bool:
         return self.n <= 1 or len(_bfs(self, (0,))) == self.n
 

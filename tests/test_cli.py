@@ -28,7 +28,12 @@ from alphabound.witness import (BaseStep, CertificationError, WitnessResult,
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one invocation, also through
+    argparse's own exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -38,8 +43,6 @@ def test_coeffs_text(capsys):
     assert code == 0 and err == ""
     assert out.splitlines() == ["c[1] = 5/8", "c[2] = 3/8",
                                 "c[3] = 1/4", "c[4] = 1/4"]
-    # rational is the default format
-    assert run(capsys, "coeffs", "--delta", "4", "--format", "rational") == (code, out, err)
 
 
 def test_coeffs_json(capsys):
@@ -63,13 +66,6 @@ def test_coeffs_clipped(capsys):
                        "--c-delta", "2/9")
     assert out.splitlines() == ["c[1] = 17/27", "c[2] = 10/27",
                                 "c[3] = 7/27", "c[4] = 2/9"]
-
-
-def test_coeffs_bad_tail(capsys):
-    code, _, err = run(capsys, "coeffs", "--delta", "4", "--kind", "clipped",
-                       "--c-delta", "1/2")
-    assert code == 2
-    assert err.startswith("error:")
 
 
 def gen_gstar(tmp_path, capsys):
@@ -101,173 +97,246 @@ def test_gen_random_deterministic(capsys):
     assert out1 == out2
 
 
-def test_gen_missing_params(capsys):
-    code, _, err = run(capsys, "gen", "chain", "--delta", "3")
-    assert code == 2 and "chain needs" in err
-
-
-def run_to_exit(capsys, *argv):
-    """Like run, but also through argparse's own exits."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-# sha256 of stdout for one member of every family, recorded before the
-# families were given one table in cli.py
-GEN_PINNED = {
-    ("regular-blocks", "--delta", "3", "--template-size", "4"):
-        "cfbab16bd2f2e169e10a91a2239920e7405cc95f0f957d13e2ce77de4ebb4460",
-    ("chain", "--delta", "3", "--blocks", "3"):
-        "f43f73e8fd48c10fd06d0c4cbee225b40e74f5d7e7a12b508624a226b7c3bdae",
-    ("attach", "--delta", "4", "--blocks", "3", "--clique", "2"):
-        "f0ff0ef0b0773df5cd0abe662a298c0d185aeb39a9313c2fd68e76d5e9bc3cb5",
-    ("pendant-cycle", "--cycle", "5"):
-        "802fbe0ca3e01f06c8f44e986e2ec40173f4e65a68bbb3732ec6e163318bebf0",
-    ("random", "--vertices", "12", "--delta", "4", "--seed", "3"):
-        "edc2309c9b9ff6aedc9f9d74f888be6de8ed02a0be3e6183decbd8c385defa8e",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(GEN_PINNED))
-def test_gen_output_pinned(argv, capsys):
-    code, out, err = run_to_exit(capsys, "gen", *argv)
-    assert (code, err) == (0, ""), " ".join(argv)
-    assert hashlib.sha256(out.encode()).hexdigest() == GEN_PINNED[argv], " ".join(argv)
-
-
-# exit code and last stderr line of each refused invocation
-OPTION_ERRORS = {
+# argv: (exit code, sha256 of stdout or "" for none, last line of stderr
+# or "" for none).  Only argparse's refusals, whose last line names the
+# subcommand, print usage lines before it; every other stderr is that one
+# line.  A change to an invocation's output changes its row here
+PINNED = {
+    # one member of every family, recorded before the families were given
+    # one table in cli.py
+    ("gen", "regular-blocks", "--delta", "3", "--template-size", "4"):
+        (0, "cfbab16bd2f2e169e10a91a2239920e7405cc95f0f957d13e2ce77de4ebb4460", ""),
+    ("gen", "chain", "--delta", "3", "--blocks", "3"):
+        (0, "f43f73e8fd48c10fd06d0c4cbee225b40e74f5d7e7a12b508624a226b7c3bdae", ""),
+    ("gen", "attach", "--delta", "4", "--blocks", "3", "--clique", "2"):
+        (0, "f0ff0ef0b0773df5cd0abe662a298c0d185aeb39a9313c2fd68e76d5e9bc3cb5", ""),
+    ("gen", "pendant-cycle", "--cycle", "5"):
+        (0, "802fbe0ca3e01f06c8f44e986e2ec40173f4e65a68bbb3732ec6e163318bebf0", ""),
+    ("gen", "random", "--vertices", "12", "--delta", "4", "--seed", "3"):
+        (0, "edc2309c9b9ff6aedc9f9d74f888be6de8ed02a0be3e6183decbd8c385defa8e", ""),
+    # larger than every random_connected member the other tests pin
+    ("gen", "random", "--vertices", "3000", "--delta", "5", "--seed", "7"):
+        (0, "298501986bffc297f1dfb06f2a711a6c203570753095a8245bc06b25d28b6158", ""),
     ("gen", "regular-blocks", "--delta", "3"):
-        (2, "error: regular-blocks needs --delta and --template-size"),
+        (2, "", "error: regular-blocks needs --delta and --template-size"),
     ("gen", "chain", "--blocks", "3"):
-        (2, "error: chain needs --delta and --blocks"),
+        (2, "", "error: chain needs --delta and --blocks"),
+    ("gen", "chain", "--delta", "3"):
+        (2, "", "error: chain needs --delta and --blocks"),
     ("gen", "attach", "--delta", "4", "--blocks", "3"):
-        (2, "error: attach needs --delta, --blocks and --clique"),
+        (2, "", "error: attach needs --delta, --blocks and --clique"),
     ("gen", "pendant-cycle"):
-        (2, "error: pendant-cycle needs --cycle"),
+        (2, "", "error: pendant-cycle needs --cycle"),
     ("gen", "random", "--delta", "4"):
-        (2, "error: random needs --vertices and --delta"),
+        (2, "", "error: random needs --vertices and --delta"),
     # an option the family does not take is refused, not ignored
     ("gen", "pendant-cycle", "--cycle", "5", "--delta", "4"):
-        (2, "error: pendant-cycle does not take --delta"),
+        (2, "", "error: pendant-cycle does not take --delta"),
     ("gen", "chain", "--delta", "4", "--blocks", "2", "--seed", "5"):
-        (2, "error: chain does not take --seed"),
+        (2, "", "error: chain does not take --seed"),
     ("gen", "random", "--vertices", "6", "--delta", "3", "--cycle", "9"):
-        (2, "error: random does not take --cycle"),
+        (2, "", "error: random does not take --cycle"),
     # sizes the families refuse
     ("gen", "regular-blocks", "--delta", "2", "--template-size", "5"):
-        (2, "error: template degree must be at least 3"),
+        (2, "", "error: template degree must be at least 3"),
     ("gen", "chain", "--delta", "3", "--blocks", "0"):
-        (2, "error: need at least one block"),
+        (2, "", "error: need at least one block"),
     ("gen", "pendant-cycle", "--cycle", "2"):
-        (2, "error: cycle needs at least three vertices"),
+        (2, "", "error: cycle needs at least three vertices"),
+    # refused by size; chain's C(delta, 2) edges per block are more than
+    # any cap on a single option bounds
+    ("gen", "pendant-cycle", "--cycle", "100000000"):
+        (2, "", "error: pendant-cycle --cycle 100000000 too large: 200000001 vertices"
+                " and 200000001 edges (at most 4000000 in all)"),
+    ("gen", "random", "--vertices", "100000000", "--delta", "4"):
+        (2, "", "error: random --vertices 100000000 --delta 4 --seed 0 too large:"
+                " 100000000 vertices and 200000000 edges (at most 4000000 in all)"),
+    ("gen", "chain", "--delta", "100000", "--blocks", "2"):
+        (2, "", "error: chain --delta 100000 --blocks 2 too large: 200000 vertices"
+                " and 9999900001 edges (at most 4000000 in all)"),
+    # over the size cap, but refused by the family: its own message, not
+    # the size message
+    ("gen", "chain", "--delta", "2", "--blocks", "10000000"):
+        (2, "", "error: block degree must be at least 3"),
+    ("gen", "attach", "--delta", "3", "--blocks", "10000000", "--clique", "5"):
+        (2, "", "error: attachment clique parameter must be in 1..1"),
+    ("gen", "regular-blocks", "--delta", "3", "--template-size", "10000001"):
+        (2, "", "error: no 3-regular graph on 10000001 vertices: k*delta must be even"),
+    ("gen", "random", "--vertices", "100000000", "--delta", "2"):
+        (2, "", "error: maximum degree must be at least 3"),
+    # an empty output path is a path, refused when opened, not stdout
+    ("gen", "pendant-cycle", "--cycle", "3", "-o", ""):
+        (2, "", "error: [Errno 2] No such file or directory: ''"),
+    # and an empty trace path is refused before the peel, which would
+    # refuse the empty graph read from the null device
+    ("witness", os.devnull, "--trace", ""):
+        (2, "", "error: [Errno 2] No such file or directory: ''"),
     ("bound", "missing.txt", "--delta-range", "7..5"):
-        (2, "alphabound bound: error: argument --delta-range: "
-            "empty range: '7..5'"),
+        (2, "", "alphabound bound: error: argument --delta-range: "
+                "empty range: '7..5'"),
     ("bound", "missing.txt", "--delta-range", "5..100000000000"):
-        (2, "alphabound bound: error: argument --delta-range: "
-            "range too long: '5..100000000000' (at most 1000 values)"),
+        (2, "", "alphabound bound: error: argument --delta-range: "
+                "range too long: '5..100000000000' (at most 1000 values)"),
     ("verify", "missing.txt", "--delta-range", "a..b"):
-        (2, "alphabound verify: error: argument --delta-range: "
-            "not a range: 'a..b' (expected A..B)"),
+        (2, "", "alphabound verify: error: argument --delta-range: "
+                "not a range: 'a..b' (expected A..B)"),
     ("bound", "missing.txt", "--delta-range", "100000000..100000000"):
-        (2, "alphabound bound: error: argument --delta-range: "
-            "degree too large: 100000000 (at most 1600)"),
+        (2, "", "alphabound bound: error: argument --delta-range: "
+                "degree too large: 100000000 (at most 1600)"),
+    ("bound", "missing.txt", "--delta-range", "1599..1601"):
+        (2, "", "alphabound bound: error: argument --delta-range: "
+                "degree too large: 1601 (at most 1600)"),
     ("verify", "missing.txt", "--delta-range", "50000000"):
-        (2, "alphabound verify: error: argument --delta-range: "
-            "degree too large: 50000000 (at most 1600)"),
+        (2, "", "alphabound verify: error: argument --delta-range: "
+                "degree too large: 50000000 (at most 1600)"),
+    ("coeffs", "--delta", "1601"):
+        (2, "", "alphabound coeffs: error: argument --delta: "
+                "degree too large: 1601 (at most 1600)"),
     ("coeffs", "--delta", "20000"):
-        (2, "alphabound coeffs: error: argument --delta: "
-            "degree too large: 20000 (at most 1600)"),
+        (2, "", "alphabound coeffs: error: argument --delta: "
+                "degree too large: 20000 (at most 1600)"),
     ("table", "--delta", "100000000"):
-        (2, "alphabound table: error: argument --delta: "
-            "degree too large: 100000000 (at most 1600)"),
+        (2, "", "alphabound table: error: argument --delta: "
+                "degree too large: 100000000 (at most 1600)"),
+    ("table", "--delta", "5", "--digits", "1001"):
+        (2, "", "alphabound table: error: argument --digits: "
+                "digit count too large: 1001 (at most 1000)"),
     ("table", "--delta", "5", "--digits", "100000000"):
-        (2, "alphabound table: error: argument --digits: "
-            "digit count too large: 100000000 (at most 1000)"),
+        (2, "", "alphabound table: error: argument --digits: "
+                "digit count too large: 100000000 (at most 1000)"),
     # below 1 too, before either sequence is built
     ("table", "--delta", "5", "--digits", "0"):
-        (2, "alphabound table: error: argument --digits: digit count must be positive"),
+        (2, "", "alphabound table: error: argument --digits: digit count must be positive"),
     ("table", "--delta", "5", "--digits", "-2"):
-        (2, "alphabound table: error: argument --digits: digit count must be positive"),
+        (2, "", "alphabound table: error: argument --digits: digit count must be positive"),
     ("coeffs", "--delta", "5", "--format", "decimal:100000000"):
-        (2, "alphabound coeffs: error: argument --format: "
-            "digit count too large: 100000000 (at most 1000)"),
+        (2, "", "alphabound coeffs: error: argument --format: "
+                "digit count too large: 100000000 (at most 1000)"),
     ("coeffs", "--delta", "x"):
-        (2, "alphabound coeffs: error: argument --delta: invalid int value: 'x'"),
+        (2, "", "alphabound coeffs: error: argument --delta: invalid int value: 'x'"),
     # integer options take ASCII digits only, as graph files do
     ("coeffs", "--delta", "\u0664"):
-        (2, "alphabound coeffs: error: argument --delta: invalid int value: '\u0664'"),
+        (2, "", "alphabound coeffs: error: argument --delta: invalid int value: '\u0664'"),
     ("coeffs", "--delta", "1_0"):
-        (2, "alphabound coeffs: error: argument --delta: invalid int value: '1_0'"),
+        (2, "", "alphabound coeffs: error: argument --delta: invalid int value: '1_0'"),
     ("coeffs", "--delta", "+3"):
-        (2, "alphabound coeffs: error: argument --delta: invalid int value: '+3'"),
+        (2, "", "alphabound coeffs: error: argument --delta: invalid int value: '+3'"),
     ("bound", "missing.txt", "--delta-range", "1_0..12"):
-        (2, "alphabound bound: error: argument --delta-range: "
-            "not a range: '1_0..12' (expected A..B)"),
+        (2, "", "alphabound bound: error: argument --delta-range: "
+                "not a range: '1_0..12' (expected A..B)"),
     ("coeffs", "--delta", "4", "--format", "decimal:1_0"):
-        (2, "alphabound coeffs: error: argument --format: "
-            "bad digit count in 'decimal:1_0'"),
+        (2, "", "alphabound coeffs: error: argument --format: "
+                "bad digit count in 'decimal:1_0'"),
     ("gen", "pendant-cycle", "--cycle", "1_0"):
-        (2, "alphabound gen: error: argument --cycle: invalid int value: '1_0'"),
+        (2, "", "alphabound gen: error: argument --cycle: invalid int value: '1_0'"),
+    ("gen", "pendant-cycle", "--cycle", "+5"):
+        (2, "", "alphabound gen: error: argument --cycle: invalid int value: '+5'"),
     ("exact", "missing.txt", "--budget", "+5"):
-        (2, "alphabound exact: error: argument --budget: invalid int value: '+5'"),
+        (2, "", "alphabound exact: error: argument --budget: invalid int value: '+5'"),
     # a budget below 1 is refused before the graph is read, and also when
     # verify would not run the exact solver
     ("exact", "missing.txt", "--budget", "0"):
-        (2, "alphabound exact: error: argument --budget: budget must be positive"),
+        (2, "", "alphabound exact: error: argument --budget: budget must be positive"),
     ("verify", "missing.txt", "--budget", "0", "--exact-threshold", "0"):
-        (2, "alphabound verify: error: argument --budget: budget must be positive"),
+        (2, "", "alphabound verify: error: argument --budget: budget must be positive"),
+    ("verify", "missing.txt", "--exact-threshold", "x"):
+        (2, "", "alphabound verify: error: argument --exact-threshold: "
+                "invalid int value: 'x'"),
     ("verify", "missing.txt", "--exact-threshold", "\u0663"):
-        (2, "alphabound verify: error: argument --exact-threshold: "
-            "invalid int value: '\u0663'"),
+        (2, "", "alphabound verify: error: argument --exact-threshold: "
+                "invalid int value: '\u0663'"),
     ("coeffs", "--delta", "4", "--format", "decimal:0"):
-        (2, "alphabound coeffs: error: argument --format: "
-            "digit count must be positive"),
+        (2, "", "alphabound coeffs: error: argument --format: "
+                "digit count must be positive"),
     ("coeffs", "--delta", "4", "--format", "decimal:x"):
-        (2, "alphabound coeffs: error: argument --format: "
-            "bad digit count in 'decimal:x'"),
+        (2, "", "alphabound coeffs: error: argument --format: "
+                "bad digit count in 'decimal:x'"),
     ("coeffs", "--delta", "4", "--format", "hex"):
-        (2, "alphabound coeffs: error: argument --format: "
-            "unknown format 'hex'; use rational or decimal[:N]"),
+        (2, "", "alphabound coeffs: error: argument --format: "
+                "unknown format 'hex'; use rational or decimal[:N]"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "x"):
-        (2, "error: not a rational number: 'x'"),
+        (2, "", "error: not a rational number: 'x'"),
     # the tail is A or A/B in the number tokens graph files use
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "\u0662/\u0669"):
-        (2, "error: not a rational number: '\u0662/\u0669'"),
+        (2, "", "error: not a rational number: '\u0662/\u0669'"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "1_0/99"):
-        (2, "error: not a rational number: '1_0/99'"),
+        (2, "", "error: not a rational number: '1_0/99'"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "+2/9"):
-        (2, "error: not a rational number: '+2/9'"),
+        (2, "", "error: not a rational number: '+2/9'"),
     # the denominator is at least 1
     ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/0"):
-        (2, "error: not a rational number: '1/0'"),
+        (2, "", "error: not a rational number: '1/0'"),
     ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "2/-9"):
-        (2, "error: not a rational number: '2/-9'"),
+        (2, "", "error: not a rational number: '2/-9'"),
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "0.2"):
-        (2, "error: not a rational number: '0.2'"),
+        (2, "", "error: not a rational number: '0.2'"),
     # an empty tail is refused, not read as no tail
     ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", ""):
-        (2, "error: not a rational number: ''"),
+        (2, "", "error: not a rational number: ''"),
+    # a tail above 2/(2*delta + 1) is refused
+    ("coeffs", "--delta", "4", "--kind", "clipped", "--c-delta", "1/2"):
+        (2, "", "error: tail value must satisfy 0 < value <= 2/9"),
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/2"):
+        (2, "", "error: tail value must satisfy 0 < value <= 2/13"),
     # a tail value only the clipped kind reads is refused, not ignored
     ("coeffs", "--delta", "5", "--kind", "c", "--c-delta", "1/9"):
-        (2, "error: --c-delta needs --kind clipped"),
+        (2, "", "error: --c-delta needs --kind clipped"),
     ("coeffs", "--delta", "5", "--kind", "d", "--c-delta", "1/9"):
-        (2, "error: --c-delta needs --kind clipped"),
+        (2, "", "error: --c-delta needs --kind clipped"),
     ("coeffs", "--delta", "5", "--c-delta", "1/9"):
-        (2, "error: --c-delta needs --kind clipped"),
+        (2, "", "error: --c-delta needs --kind clipped"),
+    # rational is the default format
+    ("coeffs", "--delta", "4"):
+        (0, "59f2c3ce5ea6ec6d2936734d86de494d36d2b12248e5f907f96113104832611d", ""),
+    ("coeffs", "--delta", "4", "--format", "rational"):
+        (0, "59f2c3ce5ea6ec6d2936734d86de494d36d2b12248e5f907f96113104832611d", ""),
+    ("coeffs", "--delta", "6", "--kind", "c", "--format", "rational"):
+        (0, "f35480be322f181389978c3d7a0a56193b868b3f5b9b6d3cd2c22a93e18bdaa3", ""),
+    ("coeffs", "--delta", "6", "--kind", "c", "--format", "decimal:20"):
+        (0, "efc8dbb87d69dc4dde70fd673da6e17feb1b24470b8c61beea1c92581b80311d", ""),
+    ("coeffs", "--delta", "6", "--kind", "d", "--format", "rational"):
+        (0, "b4b979140bcabe2ffddc8f0ab62494d77d1f3f517760cd08fddc9caa3551bcdc", ""),
+    ("coeffs", "--delta", "6", "--kind", "d", "--format", "decimal:20"):
+        (0, "5f5d28b7d0f87ba5dd6a05fc18f04a79ec175b0678534175a79359b1016e7363", ""),
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--format", "rational"):
+        (0, "5cda34d1ff7ba655d3495bd85a228cb37f1edc16fd1d3e79e71ea5e8a31d6023", ""),
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--format", "decimal:20"):
+        (0, "9a6a2dd0ef95f5e2dfeb92cac79ed97aa4fa770001aa076c3f54b9c2e59b9138", ""),
+    ("coeffs", "--delta", "6", "--kind", "clipped", "--c-delta", "1/7"):
+        (0, "7f9d989bb3e9d46cfaa21e8c2df06b87fa8644ab00d6c966be70fb2e47c993b0", ""),
+    ("coeffs", "--kind", "d", "--delta", "200", "--format", "decimal:60"):
+        (0, "4d40508bab0ec38f9c38a75680657e31d20b079765b56a33c00768c200bbff7b", ""),
+    ("table", "--delta", "6"):
+        (0, "14e8ed48c62e6ab93732bb1e8a798e2c417510c1c20beb64324de9186a401c2b", ""),
+    # the next two were recorded before the gap column was rendered from
+    # the signed difference; rows 37 and 39 have c < d
+    ("table", "--delta", "40", "--digits", "30"):
+        (0, "843ba203a6c0f4680a4e29d06e98d8a96638ff984b29ba67cf9201968c3237b9", ""),
+    ("table", "--delta", "40", "--json"):
+        (0, "36d4753df343184c9a84f850b0b91fb60d62f1be64d8d83c05c59d22502c5d6a", ""),
+    ("table", "--delta", "60", "--digits", "40"):
+        (0, "42fdca57b0e2c97b288d4aac845e13fe99d8a42435392fc24be581426b9df53f", ""),
+    ("table", "--delta", "60", "--json"):
+        (0, "2565b3b914a433a939cee12c1aed2055b3b9a892f05221d2f8552d027f598304", ""),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(OPTION_ERRORS))
-def test_option_errors_pinned(argv, capsys):
-    code, out, err = run_to_exit(capsys, *argv)
-    assert out == "" and "Traceback" not in err, " ".join(argv)
-    assert (code, err.splitlines()[-1]) == OPTION_ERRORS[argv], " ".join(argv)
+def check_pinned(argv, code, out, err):
+    """Assert one invocation's exit code, stdout and stderr against its row."""
+    want_code, want_out, want_err = PINNED[argv]
+    where = " ".join(argv)
+    assert code == want_code, where
+    assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == want_out, where
+    if want_err.startswith("alphabound "):
+        assert err.startswith("usage: alphabound ") and "Traceback" not in err, where
+        assert err.endswith(f"\n{want_err}\n"), where
+    else:
+        assert err == (want_err and f"{want_err}\n"), where
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_invocation_pinned(argv, capsys):
+    check_pinned(argv, *run(capsys, *argv))
 
 
 def test_delta_range_limit():
@@ -307,30 +376,17 @@ def test_size_caps_refuse_before_allocating():
         assert peak < 1e6, text
 
 
-# stderr of gen requests refused by size; chain's C(delta, 2) edges per
-# block are more than any cap on a single option bounds
-GEN_TOO_LARGE = {
-    ("pendant-cycle", "--cycle", "100000000"):
-        "error: pendant-cycle --cycle 100000000 too large: 200000001 vertices"
-        " and 200000001 edges (at most 4000000 in all)\n",
-    ("random", "--vertices", "100000000", "--delta", "4"):
-        "error: random --vertices 100000000 --delta 4 --seed 0 too large:"
-        " 100000000 vertices and 200000000 edges (at most 4000000 in all)\n",
-    ("chain", "--delta", "100000", "--blocks", "2"):
-        "error: chain --delta 100000 --blocks 2 too large: 200000 vertices"
-        " and 9999900001 edges (at most 4000000 in all)\n",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(GEN_TOO_LARGE))
+# the gen rows refused by size, whose message ends "(at most N in all)"
+@pytest.mark.parametrize("argv", sorted(
+    argv for argv, (_, _, err) in PINNED.items() if err.endswith(" in all)")))
 def test_gen_refuses_oversize_before_building(argv, capsys):
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "gen", *argv)
+        result = run(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out, err) == (2, "", GEN_TOO_LARGE[argv]), " ".join(argv)
+    check_pinned(argv, *result)
     assert peak < 1e6, " ".join(argv)
 
 
@@ -338,25 +394,6 @@ def test_gen_negative_values_keep_the_family_refusal(capsys):
     # the family refuses negative values before any size is worked out
     code, out, err = run(capsys, "gen", "chain", "--delta", "-100000", "--blocks", "2")
     assert (code, out, err) == (2, "", "error: block degree must be at least 3\n")
-
-
-# stderr of gen requests over the size cap that their family refuses: the
-# family's own message, not the size message
-GEN_REFUSED_OVER_CAP = {
-    ("chain", "--delta", "2", "--blocks", "10000000"):
-        "error: block degree must be at least 3\n",
-    ("attach", "--delta", "3", "--blocks", "10000000", "--clique", "5"):
-        "error: attachment clique parameter must be in 1..1\n",
-    ("regular-blocks", "--delta", "3", "--template-size", "10000001"):
-        "error: no 3-regular graph on 10000001 vertices: k*delta must be even\n",
-    ("random", "--vertices", "100000000", "--delta", "2"):
-        "error: maximum degree must be at least 3\n",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(GEN_REFUSED_OVER_CAP))
-def test_gen_family_refusal_comes_before_the_size_cap(argv, capsys):
-    assert run(capsys, "gen", *argv) == (2, "", GEN_REFUSED_OVER_CAP[argv]), " ".join(argv)
 
 
 @pytest.mark.parametrize("family, values", [
@@ -855,23 +892,6 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert [r["i"] for r in rows] == [1, 2, 3, 4]
     assert rows[0]["c"] == "5/8"
-
-
-# sha256 of stdout, recorded before the gap column was rendered from the
-# signed difference; rows 37 and 39 have c < d
-TABLE_PINNED = {
-    ("--delta", "40", "--digits", "30"):
-        "843ba203a6c0f4680a4e29d06e98d8a96638ff984b29ba67cf9201968c3237b9",
-    ("--delta", "40", "--json"):
-        "36d4753df343184c9a84f850b0b91fb60d62f1be64d8d83c05c59d22502c5d6a",
-}
-
-
-@pytest.mark.parametrize("argv", sorted(TABLE_PINNED))
-def test_table_output_pinned(argv, capsys):
-    code, out, err = run(capsys, "table", *argv)
-    assert (code, err) == (0, ""), " ".join(argv)
-    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_PINNED[argv], " ".join(argv)
 
 
 def test_dimacs_input_accepted(tmp_path, capsys):
