@@ -68,6 +68,8 @@ BULK_TESTS = ("tests/test_graph.py::test_bulk_and_line_parsers_agree",)
 
 PINNED_TESTS = ("tests/test_cli.py::test_invocation_pinned",)
 
+OUTPUT_TESTS = ("tests/test_cli.py::test_each_writer_keeps_the_output_rule",)
+
 MUTANTS = [
     Mutant("cut-vertex-root", "src/alphabound/witness.py",
            "if root_children > 1:", "if root_children > 2:", CUT_VERTEX_TESTS),
@@ -181,10 +183,35 @@ MUTANTS = [
     Mutant("limit-positive-zero", "src/alphabound/cli.py",
            "value < 1", "value < 0", PINNED_TESTS),
     Mutant("trace-empty-path-omitted", "src/alphabound/cli.py",
-           "trace_file = None\n    if args.trace is not None:",
-           "trace_file = None\n    if args.trace:", PINNED_TESTS),
+           "_output(args.trace) if args.trace is not None",
+           "_output(args.trace) if args.trace", PINNED_TESTS),
     Mutant("output-empty-path-stdout", "src/alphabound/cli.py",
-           "if args.output is not None:", "if args.output:", PINNED_TESTS),
+           "_output(args.output) if args.output is not None",
+           "_output(args.output) if args.output", PINNED_TESTS),
+    Mutant("output-device-truncated", "src/alphabound/cli.py",
+           "if stat.S_ISREG(os.fstat(file.fileno()).st_mode):", "if True:", OUTPUT_TESTS),
+    Mutant("output-created-kept", "src/alphabound/cli.py",
+           "os.remove(path)", "pass", OUTPUT_TESTS),
+    Mutant("output-existing-removed", "src/alphabound/cli.py",
+           "created = not os.path.lexists(path)", "created = True", OUTPUT_TESTS),
+    Mutant("output-not-cut", "src/alphabound/cli.py",
+           "file.truncate()", "pass", OUTPUT_TESTS),
+    Mutant("witness-reads-before-open", "src/alphabound/cli.py",
+           "    with (_output(args.trace) if args.trace is not None\n"
+           "          else contextlib.nullcontext()) as trace_file:\n"
+           "        result = _cli.peel_witness(load_graph(args.graph))\n",
+           "    g = load_graph(args.graph)\n"
+           "    with (_output(args.trace) if args.trace is not None\n"
+           "          else contextlib.nullcontext()) as trace_file:\n"
+           "        result = _cli.peel_witness(g)\n", OUTPUT_TESTS),
+    Mutant("gen-builds-before-open", "src/alphabound/cli.py",
+           "    with (_output(args.output) if args.output is not None\n"
+           "          else contextlib.nullcontext(sys.stdout)) as out:\n"
+           "        out.write(write_edge_list(build(*values), header=header))\n",
+           "    text = write_edge_list(build(*values), header=header)\n"
+           "    with (_output(args.output) if args.output is not None\n"
+           "          else contextlib.nullcontext(sys.stdout)) as out:\n"
+           "        out.write(text)\n", OUTPUT_TESTS),
     Mutant("limit-cap-inclusive", "src/alphabound/cli.py",
            "value > cap", "value >= cap",
            ("tests/test_cli.py::test_size_caps_refuse_before_allocating",)),

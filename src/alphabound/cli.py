@@ -17,6 +17,7 @@ sense.  Output is deterministic: same invocation, same bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import stat
@@ -100,6 +101,25 @@ def _parse_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"range too long: {text!r} (at most {MAX_RANGE} values)")
     return tuple(range(a, _limit(b, "degree", MAX_DELTA) + 1))
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` open as a text file for a command's output, entered before
+    any work.  Not truncated when opened: a run that fails leaves a file
+    already at the path as it was and removes one it created, and one that
+    succeeds cuts a regular file, never a device, to what it wrote."""
+    created = not os.path.lexists(path)
+    file = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
+    try:
+        with file:
+            yield file
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                file.truncate()     # what an older file held past the output
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +206,11 @@ def cmd_bound(args) -> int:
 # witness
 
 def cmd_witness(args) -> int:
-    g = load_graph(args.graph)
-    trace_file = None
-    if args.trace is not None:
-        # opened before the peel, so an unwritable path fails at once, but
-        # not truncated: a run that fails leaves a file already at the path
-        # as it was, and removes one it created
-        created = not os.path.lexists(args.trace)
-        trace_file = open(os.open(args.trace, os.O_WRONLY | os.O_CREAT, 0o666),
-                          "w", encoding="utf-8")
-    try:
-        result = _cli.peel_witness(g)
+    with (_output(args.trace) if args.trace is not None
+          else contextlib.nullcontext()) as trace_file:
+        result = _cli.peel_witness(load_graph(args.graph))
         if trace_file is not None:
-            with trace_file:
-                _cli.trace.write(trace_file, args.graph, result)
-                if stat.S_ISREG(os.fstat(trace_file.fileno()).st_mode):
-                    trace_file.truncate()   # what an older file held past the trace
-    except BaseException:
-        if trace_file is not None:
-            trace_file.close()
-            if created:
-                os.remove(args.trace)
-        raise
+            _cli.trace.write(trace_file, args.graph, result)
     size = len(result.independent_set)
     if args.json:
         print(json.dumps({
@@ -299,12 +302,9 @@ def cmd_gen(args) -> int:
                          f" {m} edges (at most {MAX_GEN_SIZE} in all)")
     header = " ".join([f"gen {args.family}",
                        *(f"{name}={v}" for name, v in zip(names, values))])
-    text = write_edge_list(build(*values), header=header)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (_output(args.output) if args.output is not None
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(write_edge_list(build(*values), header=header))
     return 0
 
 

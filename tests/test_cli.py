@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from test_witness import members_in_any_numbering
 
-from alphabound import bounds, cli, trace
+from alphabound import bounds, cli, families, trace
 from alphabound.bounds import c_bound
 from alphabound.cli import main
 from alphabound.exact import DEFAULT_BUDGET
@@ -171,6 +171,9 @@ PINNED = {
     # refuse the empty graph read from the null device
     ("witness", os.devnull, "--trace", ""):
         (2, "", "error: [Errno 2] No such file or directory: ''"),
+    # the trace path is opened before the graph is read, so it is refused first
+    ("witness", "/nonexistent/g.txt", "--trace", "/nonexistent/dir/t.json"):
+        (2, "", "error: [Errno 2] No such file or directory: '/nonexistent/dir/t.json'"),
     ("bound", "missing.txt", "--delta-range", "7..5"):
         (2, "", "alphabound bound: error: argument --delta-range: "
                 "empty range: '7..5'"),
@@ -638,37 +641,84 @@ def test_trace_refuses_values_json_cannot_write(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "direct.json").read_text() == ""
 
 
-def test_trace_into_missing_directory_fails_cleanly(tmp_path, capsys, monkeypatch):
-    path = gen_gstar(tmp_path, capsys)
-    target = str(tmp_path / "missing" / "t.json")
-
-    def no_peel(g):
-        raise AssertionError("the peel ran before the trace file was opened")
-
-    monkeypatch.setattr(cli, "peel_witness", no_peel)
-    assert run(capsys, "witness", path, "--trace", target) == (
-        2, "", f"error: [Errno 2] No such file or directory: {target!r}\n")
+# the commands that write a file: argv, with GRAPH and FILE for the paths,
+# and the first work each does, which no refusal of FILE may reach
+WRITERS = {
+    "witness": (("witness", "GRAPH", "--trace", "FILE"), (cli, "load_graph")),
+    "gen": (("gen", "pendant-cycle", "--cycle", "3", "-o", "FILE"),
+            (families, "cycle_with_pendants")),
+}
 
 
-def test_refused_witness_leaves_no_trace_file(tmp_path, capsys):
-    path = tmp_path / "k4.txt"
-    path.write_text(write_edge_list(complete_graph(4)))
-    target = tmp_path / "t.json"
-    assert run(capsys, "witness", str(path), "--trace", str(target)) == (
-        2, "", "error: not in class: graph is the complete graph on 4 vertices\n")
-    assert not target.exists()
-    # a file already at the path is left as it was, and a trace shorter
-    # than the file it replaces leaves none of its bytes
-    target.write_text("kept")
-    assert run(capsys, "witness", str(path), "--trace", str(target))[0] == 2
-    assert target.read_text() == "kept"
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_each_writer_keeps_the_output_rule(writer, tmp_path, capsys, monkeypatch):
+    """Both commands open their file through one rule: before any work,
+    without truncating it, removing it if they created it and then failed,
+    and cutting a regular file, never a device, to what they wrote."""
+    template, (module, work) = WRITERS[writer]
     gstar = gen_gstar(tmp_path, capsys)
+
+    def argv(path, graph=gstar):
+        return [{"GRAPH": graph, "FILE": str(path)}.get(a, a) for a in template]
+
+    def no_work(*_):
+        raise AssertionError("work ran before the output file was opened")
+
+    missing = str(tmp_path / "missing" / "out")
+    with monkeypatch.context() as patch:
+        patch.setattr(module, work, no_work)
+        assert run(capsys, *argv(missing)) == (
+            2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
+
+    def refuse(*_):
+        raise ValueError("refused after the open")
+
+    # a run that fails after the open: witness on K4, gen with a builder
+    # that refuses
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(write_edge_list(complete_graph(4)))
+    target = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        if writer == "witness":
+            error = "error: not in class: graph is the complete graph on 4 vertices\n"
+        else:
+            error = "error: refused after the open\n"
+            patch.setattr(module, work, refuse)
+        assert run(capsys, *argv(target, graph=str(k4))) == (2, "", error)
+        assert not target.exists()
+        # a file already at the path is left as it was
+        target.write_text("kept")
+        assert run(capsys, *argv(target, graph=str(k4))) == (2, "", error)
+        assert target.read_text() == "kept"
+
+    # an output shorter than the file it replaces leaves none of its bytes
+    fresh = tmp_path / "fresh"
+    assert run(capsys, *argv(fresh))[0] == 0
     target.write_text("x" * 100_000)
-    assert run(capsys, "witness", gstar, "--trace", str(target))[0] == 0
-    assert json.loads(target.read_text())["version"] == trace.VERSION
+    assert run(capsys, *argv(target))[0] == 0
+    assert target.read_bytes() == fresh.read_bytes()
+    if writer == "witness":
+        assert json.loads(target.read_text())["version"] == trace.VERSION
+    else:
+        assert target.read_text().startswith("# gen pendant-cycle cycle=3\n")
     # a device is written but never truncated
-    code, out, err = run(capsys, "witness", gstar, "--trace", os.devnull)
-    assert (code, err) == (0, "") and out.endswith(f" written to {os.devnull}\n")
+    code, out, err = run(capsys, *argv(os.devnull))
+    assert (code, err) == (0, "")
+    assert out.endswith(f" written to {os.devnull}\n") if writer == "witness" else out == ""
+
+
+def test_gen_refuses_unwritable_output_before_building(tmp_path, capsys):
+    # the largest pendant cycle under the cap, which would take seconds
+    # and hundreds of MB to build and render
+    target = str(tmp_path / "missing" / "x.txt")
+    tracemalloc.start()
+    try:
+        result = run(capsys, "gen", "pendant-cycle", "--cycle", "999999", "-o", target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f"error: [Errno 2] No such file or directory: {target!r}\n")
+    assert peak < 1e6
 
 
 # sha256 of json.dumps(payload, sort_keys=True) for the payload of

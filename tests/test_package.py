@@ -68,6 +68,8 @@ LEFT_OUT = {
                                                     "alphabound.trace"),
     ("gen", "pendant-cycle", "--cycle", "5"): ("alphabound.coeffs", "alphabound.bounds",
                                                "alphabound.witness", "alphabound.trace"),
+    ("gen", "pendant-cycle", "--cycle", "5", "-o", "FILE"): (
+        "alphabound.coeffs", "alphabound.bounds", "alphabound.witness", "alphabound.trace"),
     ("coeffs", "--delta", "5"): ("alphabound.bounds", "alphabound.witness",
                                  "alphabound.exact", "alphabound.families",
                                  "alphabound.trace"),
