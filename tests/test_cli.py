@@ -707,6 +707,39 @@ def test_each_writer_keeps_the_output_rule(writer, tmp_path, capsys, monkeypatch
     assert out.endswith(f" written to {os.devnull}\n") if writer == "witness" else out == ""
 
 
+def test_trace_into_missing_directory_fails_cleanly(tmp_path, capsys, monkeypatch):
+    path = gen_gstar(tmp_path, capsys)
+    target = str(tmp_path / "missing" / "t.json")
+
+    def no_read(*_):
+        raise AssertionError("the graph was read before the trace file was opened")
+
+    monkeypatch.setattr(cli, "load_graph", no_read)
+    assert run(capsys, "witness", path, "--trace", target) == (
+        2, "", f"error: [Errno 2] No such file or directory: {target!r}\n")
+
+
+def test_refused_witness_leaves_no_trace_file(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    path.write_text(write_edge_list(complete_graph(4)))
+    target = tmp_path / "t.json"
+    assert run(capsys, "witness", str(path), "--trace", str(target)) == (
+        2, "", "error: not in class: graph is the complete graph on 4 vertices\n")
+    assert not target.exists()
+    # a file already at the path is left as it was, and a trace shorter
+    # than the file it replaces leaves none of its bytes
+    target.write_text("kept")
+    assert run(capsys, "witness", str(path), "--trace", str(target))[0] == 2
+    assert target.read_text() == "kept"
+    gstar = gen_gstar(tmp_path, capsys)
+    target.write_text("x" * 100_000)
+    assert run(capsys, "witness", gstar, "--trace", str(target))[0] == 0
+    assert json.loads(target.read_text())["version"] == trace.VERSION
+    # a device is written but never truncated
+    code, out, err = run(capsys, "witness", gstar, "--trace", os.devnull)
+    assert (code, err) == (0, "") and out.endswith(f" written to {os.devnull}\n")
+
+
 def test_gen_refuses_unwritable_output_before_building(tmp_path, capsys):
     # the largest pendant cycle under the cap, which would take seconds
     # and hundreds of MB to build and render
