@@ -17,8 +17,9 @@ found, a run stopped after TIMEOUT_S seconds) is not a kill either.  Its
 old text must occur exactly once in its file.  If it does not, the
 guarded line has moved, and the entry must move with it.
 
-Names on the command line run only those mutants.  Prints one line per
-mutant and exits 1 unless every one is killed.
+Mutants run WORKERS at a time, each in its own copy of the tree.  Names
+on the command line run only those mutants.  Prints one line per mutant,
+in table order, and exits 1 unless every one is killed.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300         # one pytest run is stopped after this many seconds
 TAIL_LINES = 40         # lines of a failing unmutated run's output shown
+WORKERS = min(2, os.cpu_count() or 1)   # mutants whose tests run at once
 GOLDEN = "perfbench/golden.json"    # records tests/test_exact.py reads
 
 
@@ -138,7 +141,7 @@ MUTANTS = [
     Mutant("tree-rank-off-by-one", "src/alphabound/families.py",
            "tree[pos + step] <= r", "tree[pos + step] < r",
            ("tests/test_families.py::test_random_connected_matches_list_reference",)),
-    Mutant("table-gap-signed", "src/alphabound/cli.py",
+    Mutant("table-gap-signed", "src/alphabound/cli_nograph.py",
            '.lstrip("-")', "", PINNED_TESTS),
     Mutant("pick-step-from-last-vertex", "src/alphabound/witness.py",
            "via[v] if v in via else (v, w)", "(v, w)", PEEL_TRACE_TESTS),
@@ -185,7 +188,7 @@ MUTANTS = [
     Mutant("trace-empty-path-omitted", "src/alphabound/cli.py",
            "_output(args.trace) if args.trace is not None",
            "_output(args.trace) if args.trace", PINNED_TESTS),
-    Mutant("output-empty-path-stdout", "src/alphabound/cli.py",
+    Mutant("output-empty-path-stdout", "src/alphabound/cli_nograph.py",
            "_output(args.output) if args.output is not None",
            "_output(args.output) if args.output", PINNED_TESTS),
     Mutant("output-device-truncated", "src/alphabound/cli.py",
@@ -199,12 +202,18 @@ MUTANTS = [
     Mutant("witness-reads-before-open", "src/alphabound/cli.py",
            "    with (_output(args.trace) if args.trace is not None\n"
            "          else contextlib.nullcontext()) as trace_file:\n"
+           "        if trace_file is not None and _is_file(trace_file, args.graph):\n"
+           "            # the trace would overwrite its own input\n"
+           "            raise ValueError(f\"--trace {args.trace!r} is the graph file\")\n"
            "        result = _cli.peel_witness(load_graph(args.graph))\n",
            "    g = load_graph(args.graph)\n"
            "    with (_output(args.trace) if args.trace is not None\n"
            "          else contextlib.nullcontext()) as trace_file:\n"
+           "        if trace_file is not None and _is_file(trace_file, args.graph):\n"
+           "            # the trace would overwrite its own input\n"
+           "            raise ValueError(f\"--trace {args.trace!r} is the graph file\")\n"
            "        result = _cli.peel_witness(g)\n", OUTPUT_TESTS),
-    Mutant("gen-builds-before-open", "src/alphabound/cli.py",
+    Mutant("gen-builds-before-open", "src/alphabound/cli_nograph.py",
            "    with (_output(args.output) if args.output is not None\n"
            "          else contextlib.nullcontext(sys.stdout)) as out:\n"
            "        out.write(write_edge_list(build(*values), header=header))\n",
@@ -212,6 +221,27 @@ MUTANTS = [
            "    with (_output(args.output) if args.output is not None\n"
            "          else contextlib.nullcontext(sys.stdout)) as out:\n"
            "        out.write(text)\n", OUTPUT_TESTS),
+    Mutant("gen-cap-loosened", "src/alphabound/cli_nograph.py",
+           "if n + m > MAX_GEN_SIZE:", "if n + m > MAX_GEN_SIZE + 2:", PINNED_TESTS),
+    Mutant("format-digits-cap-loosened", "src/alphabound/cli_nograph.py",
+           '_limit(digits, "digit count", MAX_DIGITS,', '_limit(digits, "digit count", MAX_DIGITS + 1,',
+           PINNED_TESTS),
+    Mutant("format-digits-zero", "src/alphabound/cli_nograph.py",
+           "MAX_DIGITS, positive=True)\n    raise", "MAX_DIGITS)\n    raise", PINNED_TESTS),
+    Mutant("c-delta-without-clipped", "src/alphabound/cli_nograph.py",
+           'if args.c_delta is not None and args.kind != "clipped":', "if False:",
+           PINNED_TESTS),
+    Mutant("trace-onto-graph-allowed", "src/alphabound/cli.py",
+           "if trace_file is not None and _is_file(trace_file, args.graph):", "if False:",
+           ("tests/test_cli.py::test_trace_onto_the_graph_file_leaves_it_unchanged",)),
+    # a graph job must not compile the commands that read no graph file
+    Mutant("graph-job-imports-nograph", "src/alphabound/cli.py",
+           "\n\nif __name__ == \"__main__\":",
+           "\n\nfrom . import cli_nograph  # noqa: E402,F401\n\nif __name__ == \"__main__\":",
+           ("tests/test_package.py::test_each_command_imports_only_what_it_runs",)),
+    Mutant("cli-compiled-twice", "src/alphabound/cli.py",
+           'sys.modules.setdefault(f"{__package__}.cli", _cli)', "",
+           ("tests/test_package.py::test_each_command_imports_only_what_it_runs",)),
     Mutant("limit-cap-inclusive", "src/alphabound/cli.py",
            "value > cap", "value >= cap",
            ("tests/test_cli.py::test_size_caps_refuse_before_allocating",)),
@@ -278,6 +308,23 @@ def run_tests(tree: Path, tests) -> tuple[int | None, str]:
     return proc.returncode, proc.stdout
 
 
+def judge(m: Mutant, tmp: Path) -> str:
+    """The verdict on one mutant, applied to its own copy of the tree."""
+    tree = tmp / m.name
+    copy_tree(tree)
+    try:
+        target = tree / m.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(m.old) != 1:
+            return "no longer applies"
+        target.write_text(text.replace(m.old, m.new), encoding="utf-8")
+        code, _ = run_tests(tree, m.tests)
+        return {0: "SURVIVED", 1: "killed", None: "broke the run (timeout)"}.get(
+            code, f"broke the run (exit {code})")
+    finally:
+        shutil.rmtree(tree)
+
+
 def main(argv=None) -> int:
     names = sys.argv[1:] if argv is None else argv
     unknown = set(names) - {m.name for m in MUTANTS}
@@ -295,21 +342,10 @@ def main(argv=None) -> int:
             print(*output.splitlines()[-TAIL_LINES:], sep="\n", file=sys.stderr)
             return 1
         bad = 0
-        for m in chosen:
-            tree = Path(tmp) / m.name
-            copy_tree(tree)
-            target = tree / m.path
-            text = target.read_text(encoding="utf-8")
-            if text.count(m.old) != 1:
-                verdict = "no longer applies"
-            else:
-                target.write_text(text.replace(m.old, m.new), encoding="utf-8")
-                code, _ = run_tests(tree, m.tests)
-                verdict = {0: "SURVIVED", 1: "killed", None: "broke the run (timeout)"}.get(
-                    code, f"broke the run (exit {code})")
-            bad += verdict != "killed"
-            print(f"{m.name}: {verdict}")
-            shutil.rmtree(tree)
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for m, verdict in zip(chosen, pool.map(lambda m: judge(m, Path(tmp)), chosen)):
+                bad += verdict != "killed"
+                print(f"{m.name}: {verdict}", flush=True)
     print(f"{bad} of {len(chosen)} mutants not killed")
     return 1 if bad else 0
 

@@ -32,7 +32,7 @@ _EXPORTS = {
                 "peel_witness"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli", "trace")
+_SUBMODULES = (*_EXPORTS, "cli", "cli_nograph", "trace")
 
 __all__ = sorted(_HOME)
 

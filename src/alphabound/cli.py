@@ -11,7 +11,9 @@ Subcommands::
     table    side-by-side c- and d-coefficients for one max degree
 
 Every command accepts ``--json`` where a machine-readable mirror makes
-sense.  Output is deterministic: same invocation, same bytes.
+sense.  Output is deterministic: same invocation, same bytes.  The commands
+that read no graph file, ``coeffs``, ``gen`` and ``table``, are defined in
+``cli_nograph``, which only their jobs import.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ import sys
 from typing import Optional
 
 from .graphcore import (DEFAULT_BUDGET, BudgetExceeded, CertificationError,
-                        Graph, _number, load_graph, write_edge_list)
+                        Graph, _number, load_graph)
 
 _cli = sys.modules[__name__]        # this module, also when run as __main__
+# run as __main__, it is entered under its own name too, so that
+# cli_nograph's import of it finds this module instead of compiling another
+sys.modules.setdefault(f"{__package__}.cli", _cli)
 
 
 def __getattr__(name: str):
@@ -46,22 +51,6 @@ def __getattr__(name: str):
 
 MAX_RANGE = 1000        # values one --delta-range may name
 MAX_DELTA = 1600        # largest degree an option may name
-MAX_DIGITS = 1000       # most decimal places an option may ask for
-MAX_GEN_SIZE = 4_000_000    # most vertices plus edges one gen may build
-
-
-def _parse_fraction(text: str):
-    """``A`` or ``A/B`` with B at least 1, each part a number token as
-    graph files spell them."""
-    from fractions import Fraction
-    a, sep, b = text.partition("/")
-    try:
-        a, b = _number(a), _number(b) if sep else 1
-        if b < 1:
-            raise ValueError(b)
-    except ValueError:
-        raise ValueError(f"not a rational number: {text!r}")
-    return Fraction(a, b)
 
 
 def _limit(value: int, what: str, cap: Optional[int] = None,
@@ -123,48 +112,6 @@ def _output(path: str):
 
 
 # ---------------------------------------------------------------------------
-# coeffs
-
-def cmd_coeffs(args) -> int:
-    if args.c_delta is not None and args.kind != "clipped":
-        raise ValueError("--c-delta needs --kind clipped")
-    if args.kind == "c":
-        seq = _cli.c_sequence(args.delta)
-    elif args.kind == "d":
-        seq = _cli.d_sequence(args.delta)
-    else:
-        seq = _cli.clipped_sequence(
-            args.delta, None if args.c_delta is None else _parse_fraction(args.c_delta))
-    fmt, digits = args.format
-    if fmt == "rational":
-        values = [str(v) for v in seq]
-    else:
-        values = [_cli.render_decimal(v, digits) for v in seq]
-    if args.json:
-        print(json.dumps({"kind": seq.kind, "delta": seq.delta, "values": values},
-                         indent=2, sort_keys=True))
-    else:
-        letter = "d" if seq.kind == "d" else "c"     # clipped is a c-variant
-        for i, v in enumerate(values, start=1):
-            print(f"{letter}[{i}] = {v}")
-    return 0
-
-
-def _parse_format(text: str):
-    if text == "rational":
-        return "rational", None
-    if text == "decimal" or text.startswith("decimal:"):
-        digits = 12
-        if ":" in text:
-            try:
-                digits = _number(text.partition(":")[2])
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad digit count in {text!r}")
-        return "decimal", _limit(digits, "digit count", MAX_DIGITS, positive=True)
-    raise argparse.ArgumentTypeError(f"unknown format {text!r}; use rational or decimal[:N]")
-
-
-# ---------------------------------------------------------------------------
 # bound
 
 def _bound_rows(g: Graph, deltas: tuple[int, ...]):
@@ -173,6 +120,14 @@ def _bound_rows(g: Graph, deltas: tuple[int, ...]):
     rows += [(f"truncated[{d}]", report.truncated[d]) for d in sorted(report.truncated)]
     rows += [("euler", report.euler), ("caro-wei", report.caro_wei)]
     return report, rows
+
+
+def _bound_arguments(p) -> None:
+    p.add_argument("graph")
+    p.add_argument("--delta-range", type=_parse_range, default=(),
+                   help="also evaluate truncated bounds for A..B")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_bound)
 
 
 def cmd_bound(args) -> int:
@@ -205,9 +160,28 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # witness
 
+def _witness_arguments(p) -> None:
+    p.add_argument("graph")
+    p.add_argument("--trace", help="write the step trace to this JSON file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_witness)
+
+
+def _is_file(file, path: str) -> bool:
+    """Whether the open ``file`` is the file at ``path``, also through a
+    link; False if there is nothing at ``path``, which load_graph reports."""
+    try:
+        return os.path.samestat(os.fstat(file.fileno()), os.stat(path))
+    except OSError:
+        return False
+
+
 def cmd_witness(args) -> int:
     with (_output(args.trace) if args.trace is not None
           else contextlib.nullcontext()) as trace_file:
+        if trace_file is not None and _is_file(trace_file, args.graph):
+            # the trace would overwrite its own input
+            raise ValueError(f"--trace {args.trace!r} is the graph file")
         result = _cli.peel_witness(load_graph(args.graph))
         if trace_file is not None:
             _cli.trace.write(trace_file, args.graph, result)
@@ -234,6 +208,15 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 # exact
 
+def _exact_arguments(p) -> None:
+    p.add_argument("graph")
+    p.add_argument("--budget", type=_int_type("budget", positive=True),
+                   default=DEFAULT_BUDGET,
+                   help=f"search node budget (default {DEFAULT_BUDGET})")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_exact)
+
+
 def cmd_exact(args) -> int:
     g = load_graph(args.graph)
     result = _cli.exact_alpha(g, budget=args.budget)
@@ -251,65 +234,18 @@ def cmd_exact(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gen
-
-def _family(name: str):
-    """A call of ``families.<name>``, which imports ``families`` when first
-    made."""
-    return lambda *values: getattr(_cli.families, name)(*values)
-
-
-# family -> (its options in header order, how many of them are required,
-# the builder taking their values in that order, and the vertex and edge
-# counts it builds from them, after the family's own argument checks; at
-# most that many edges for random)
-GENERATORS = {
-    "regular-blocks": (("delta", "template-size"), 2,
-                       lambda d, k: _cli.regular_blocks(d, _cli.regular_template(d, k)),
-                       _family("_regular_size")),
-    "chain": (("delta", "blocks"), 2, _family("chain_blocks"), _family("_chain_size")),
-    "attach": (("delta", "blocks", "clique"), 3, _family("attach_cliques"),
-               _family("_attach_size")),
-    "pendant-cycle": (("cycle",), 1, _family("cycle_with_pendants"),
-                      _family("_pendant_cycle_size")),
-    "random": (("vertices", "delta", "seed"), 2, _family("random_connected"),
-               lambda n, d, seed: _cli.families._random_size(n, d)),
-}
-GEN_OPTIONS = tuple(dict.fromkeys(n for names, *_ in GENERATORS.values() for n in names))
-
-
-def _listed(options, conjunction: str) -> str:
-    """``--a, --b and --c`` for the option names given."""
-    *rest, last = [f"--{name}" for name in options]
-    return f"{', '.join(rest)} {conjunction} {last}" if rest else last
-
-
-def cmd_gen(args) -> int:
-    names, required, build, size = GENERATORS[args.family]
-    given = {name: getattr(args, name.replace("-", "_")) for name in GEN_OPTIONS}
-    foreign = [name for name in GEN_OPTIONS if name not in names and given[name] is not None]
-    if foreign:
-        raise ValueError(f"{args.family} does not take {_listed(foreign, 'or')}")
-    values = [given[name] for name in names]
-    if None in values[:required]:
-        raise ValueError(f"{args.family} needs {_listed(names[:required], 'and')}")
-    # the one optional value, random's seed, is 0 when omitted
-    values = [0 if v is None else v for v in values]
-    n, m = size(*values)        # a family's refusal comes before the cap
-    if n + m > MAX_GEN_SIZE:
-        spelled = " ".join(f"--{name} {v}" for name, v in zip(names, values))
-        raise ValueError(f"{args.family} {spelled} too large: {n} vertices and"
-                         f" {m} edges (at most {MAX_GEN_SIZE} in all)")
-    header = " ".join([f"gen {args.family}",
-                       *(f"{name}={v}" for name, v in zip(names, values))])
-    with (_output(args.output) if args.output is not None
-          else contextlib.nullcontext(sys.stdout)) as out:
-        out.write(write_edge_list(build(*values), header=header))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # verify
+
+def _verify_arguments(p) -> None:
+    p.add_argument("graph")
+    p.add_argument("--delta-range", type=_parse_range, default=())
+    p.add_argument("--exact-threshold", type=_int_type(), default=30,
+                   help="run the exact solver when n is at most this")
+    p.add_argument("--budget", type=_int_type("budget", positive=True),
+                   default=DEFAULT_BUDGET)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_verify)
+
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph)
@@ -362,96 +298,47 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# table
-
-def cmd_table(args) -> int:
-    cs = _cli.c_sequence(args.delta)
-    ds = _cli.d_sequence(args.delta)
-    digits = args.digits
-    rows = []
-    for i in range(1, args.delta + 1):
-        # |c - d|: rounding is odd-symmetric, and a 0 prints unsigned
-        gap = _cli.render_decimal(cs[i] - ds[i], digits).lstrip("-")
-        rows.append((i, str(cs[i]), _cli.render_decimal(cs[i], digits),
-                     _cli.render_decimal(ds[i], digits), gap))
-    if args.json:
-        print(json.dumps([{"i": i, "c": ce, "c_decimal": cd,
-                           "d_decimal": dd, "gap": gp}
-                          for i, ce, cd, dd, gp in rows],
-                         indent=2, sort_keys=True))
-        return 0
-    head = ("i", "c exact", "c decimal", "d decimal", "|c - d|")
-    widths = [max(len(str(r[k])) for r in rows + [head]) for k in range(5)]
-    print("  ".join(h.ljust(w) for h, w in zip(head, widths)))
-    for r in rows:
-        print("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
+
+# command -> its help, and the module defining cmd_<command> and
+# _<command>_arguments(parser), which adds its arguments
+COMMANDS = {
+    "coeffs": ("print a coefficient sequence", "cli_nograph"),
+    "bound": ("lower bounds for a graph file", "cli"),
+    "witness": ("independent-set witness for the bound", "cli"),
+    "exact": ("exact independence number", "cli"),
+    "gen": ("generate a family member as an edge list", "cli_nograph"),
+    "verify": ("cross-check bounds, witness, exact", "cli"),
+    "table": ("c- and d-coefficients side by side", "cli_nograph"),
+}
+
+
+class _Command(argparse.ArgumentParser):
+    """One command's parser, which gets its arguments when it first parses.
+    The main parser's help, usage and refusals need none, so a job builds,
+    and imports the module of, only the command that argparse picks."""
+
+    def __init__(self, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self._pending = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            module = f"{__package__}.{COMMANDS[self._pending][1]}"
+            __import__(module)
+            getattr(sys.modules[module], f"_{self._pending}_arguments")(self)
+            self._pending = None
+        return super().parse_known_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="alphabound",
         description="Degree-weighted lower bounds on the independence number "
                     "of connected bounded-degree graphs, with witnesses.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("coeffs", help="print a coefficient sequence")
-    pc.add_argument("--delta", type=_int_type("degree", MAX_DELTA), required=True)
-    pc.add_argument("--kind", choices=("c", "d", "clipped"), default="c")
-    pc.add_argument("--c-delta", help="tail value for --kind clipped, e.g. 2/9")
-    pc.add_argument("--format", type=_parse_format, default=("rational", None),
-                    help="rational (default) or decimal[:digits]")
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(func=cmd_coeffs)
-
-    pb = sub.add_parser("bound", help="lower bounds for a graph file")
-    pb.add_argument("graph")
-    pb.add_argument("--delta-range", type=_parse_range, default=(),
-                    help="also evaluate truncated bounds for A..B")
-    pb.add_argument("--json", action="store_true")
-    pb.set_defaults(func=cmd_bound)
-
-    pw = sub.add_parser("witness", help="independent-set witness for the bound")
-    pw.add_argument("graph")
-    pw.add_argument("--trace", help="write the step trace to this JSON file")
-    pw.add_argument("--json", action="store_true")
-    pw.set_defaults(func=cmd_witness)
-
-    pe = sub.add_parser("exact", help="exact independence number")
-    pe.add_argument("graph")
-    pe.add_argument("--budget", type=_int_type("budget", positive=True),
-                    default=DEFAULT_BUDGET,
-                    help=f"search node budget (default {DEFAULT_BUDGET})")
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(func=cmd_exact)
-
-    pg = sub.add_parser("gen", help="generate a family member as an edge list")
-    pg.add_argument("family", choices=tuple(GENERATORS))
-    for name in GEN_OPTIONS:
-        pg.add_argument(f"--{name}", type=_int_type())
-    pg.add_argument("-o", "--output")
-    pg.set_defaults(func=cmd_gen)
-
-    pv = sub.add_parser("verify", help="cross-check bounds, witness, exact")
-    pv.add_argument("graph")
-    pv.add_argument("--delta-range", type=_parse_range, default=())
-    pv.add_argument("--exact-threshold", type=_int_type(), default=30,
-                    help="run the exact solver when n is at most this")
-    pv.add_argument("--budget", type=_int_type("budget", positive=True),
-                    default=DEFAULT_BUDGET)
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(func=cmd_verify)
-
-    pt = sub.add_parser("table", help="c- and d-coefficients side by side")
-    pt.add_argument("--delta", type=_int_type("degree", MAX_DELTA), required=True)
-    pt.add_argument("--digits", type=_int_type("digit count", MAX_DIGITS, positive=True),
-                    default=12)
-    pt.add_argument("--json", action="store_true")
-    pt.set_defaults(func=cmd_table)
-
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_Command)
+    for name, (summary, _) in COMMANDS.items():
+        sub.add_parser(name, help=summary, command=name)
     return p
 
 

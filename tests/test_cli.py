@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from test_witness import members_in_any_numbering
 
-from alphabound import bounds, cli, families, trace
+from alphabound import bounds, cli, cli_nograph, families, trace
 from alphabound.bounds import c_bound
 from alphabound.cli import main
 from alphabound.exact import DEFAULT_BUDGET
@@ -154,6 +154,11 @@ PINNED = {
     ("gen", "chain", "--delta", "100000", "--blocks", "2"):
         (2, "", "error: chain --delta 100000 --blocks 2 too large: 200000 vertices"
                 " and 9999900001 edges (at most 4000000 in all)"),
+    # the smallest pendant cycle over the cap, refused before the output
+    # path is opened
+    ("gen", "pendant-cycle", "--cycle", "1000000", "-o", "/nonexistent/dir/x.txt"):
+        (2, "", "error: pendant-cycle --cycle 1000000 too large: 2000001 vertices"
+                " and 2000001 edges (at most 4000000 in all)"),
     # over the size cap, but refused by the family: its own message, not
     # the size message
     ("gen", "chain", "--delta", "2", "--blocks", "10000000"):
@@ -171,6 +176,10 @@ PINNED = {
     # refuse the empty graph read from the null device
     ("witness", os.devnull, "--trace", ""):
         (2, "", "error: [Errno 2] No such file or directory: ''"),
+    # a trace onto the graph file would overwrite the input: refused after
+    # the open, before the graph is read
+    ("witness", os.devnull, "--trace", os.devnull):
+        (2, "", f"error: --trace {os.devnull!r} is the graph file"),
     # the trace path is opened before the graph is read, so it is refused first
     ("witness", "/nonexistent/g.txt", "--trace", "/nonexistent/dir/t.json"):
         (2, "", "error: [Errno 2] No such file or directory: '/nonexistent/dir/t.json'"),
@@ -358,15 +367,15 @@ def test_delta_range_limit():
 
 def test_size_caps_refuse_before_allocating():
     assert cli._parse_range("1599..1600") == (1599, 1600)
-    assert cli._parse_format("decimal:1000") == ("decimal", 1000)
+    assert cli_nograph._parse_format("decimal:1000") == ("decimal", 1000)
     degree = cli._int_type("degree", cli.MAX_DELTA)
     assert degree("1600") == 1600
     refusals = [
         (cli._parse_range, "100000000..100000000", "degree too large"),
         (cli._parse_range, "1601", "degree too large"),
-        (cli._parse_format, "decimal:100000000", "digit count too large"),
+        (cli_nograph._parse_format, "decimal:100000000", "digit count too large"),
         (degree, "20000", "degree too large"),
-        (cli._int_type("digit count", cli.MAX_DIGITS), "1001", "digit count too large"),
+        (cli._int_type("digit count", cli_nograph.MAX_DIGITS), "1001", "digit count too large"),
     ]
     for parse, text, message in refusals:
         tracemalloc.start()
@@ -407,7 +416,7 @@ def test_gen_negative_values_keep_the_family_refusal(capsys):
     ("random", (12, 4, 3)), ("random", (50, 6, 1)), ("random", (30, 3, 0)),
 ])
 def test_gen_size_forms_match_built_graphs(family, values):
-    _, _, build, size = cli.GENERATORS[family]
+    _, _, build, size = cli_nograph.GENERATORS[family]
     g = build(*values)
     n, m = size(*values)
     assert g.n == n
@@ -417,7 +426,7 @@ def test_gen_size_forms_match_built_graphs(family, values):
 def test_gen_cap_admits_the_large_benchmark_inputs():
     # the 10**6-vertex bound input and a 10**5-vertex random member
     for family, values in (("pendant-cycle", (500000,)), ("random", (100000, 4, 0))):
-        assert sum(cli.GENERATORS[family][3](*values)) <= cli.MAX_GEN_SIZE
+        assert sum(cli_nograph.GENERATORS[family][3](*values)) <= cli_nograph.MAX_GEN_SIZE
 
 
 def test_bound_table(tmp_path, capsys):
@@ -738,6 +747,28 @@ def test_refused_witness_leaves_no_trace_file(tmp_path, capsys):
     # a device is written but never truncated
     code, out, err = run(capsys, "witness", gstar, "--trace", os.devnull)
     assert (code, err) == (0, "") and out.endswith(f" written to {os.devnull}\n")
+
+
+@pytest.mark.parametrize("link", ["same path", "symlink", "hard link"])
+def test_trace_onto_the_graph_file_leaves_it_unchanged(link, tmp_path, capsys, monkeypatch):
+    graph = Path(gen_gstar(tmp_path, capsys))
+    before = graph.read_bytes()
+    target = graph if link == "same path" else tmp_path / "trace.json"
+    if link == "symlink":
+        target.symlink_to(graph)
+    elif link == "hard link":
+        os.link(graph, target)
+
+    def no_read(*_):
+        raise AssertionError("the graph was read before the refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "load_graph", no_read)
+        assert run(capsys, "witness", str(graph), "--trace", str(target)) == (
+            2, "", f"error: --trace {str(target)!r} is the graph file\n")
+    assert graph.read_bytes() == before and target.exists()
+    code, out, err = run(capsys, "witness", str(graph))
+    assert (code, err) == (0, "") and "independent set of size 11" in out
 
 
 def test_gen_refuses_unwritable_output_before_building(tmp_path, capsys):
